@@ -83,11 +83,8 @@ from .graph import (
     ProcessNode,
     SensorNode,
     ValidationReport,
-    link_power,
-    node_power,
     propagate_flows,
     required_channels,
-    total_power,
     validate_graph,
 )
 from .metrics import SystemScore, score_system, system_confusion
@@ -104,7 +101,6 @@ from .scenario import (
     apply_era,
     apply_variant,
     evaluate,
-    propagate,
     sweep,
 )
 from .units import UnitError, format_quantity, parse_quantity, parse_ratio
@@ -134,7 +130,7 @@ __all__ = [
     "SensorNode", "ProcessNode", "OutputNode", "CommLink", "PipelineGraph",
     "MessageFlow", "FlowAssignment", "ValidationReport",
     "validate_graph", "propagate_flows",
-    "node_power", "link_power", "total_power", "required_channels",
+    "required_channels",
     # energy
     "EnergyLedger", "ErrorCosts", "build_ledger", "total_energy",
     "mean_total_energy", "error_costs", "energy_balance",
@@ -143,7 +139,7 @@ __all__ = [
     # scenario
     "ExperimentConditions", "TechnologyEra",
     "GpuHlt", "L1Tracks", "SmartPixels", "VariantConfig",
-    "apply_conditions", "apply_era", "apply_variant", "propagate",
+    "apply_conditions", "apply_era", "apply_variant",
     "evaluate", "sweep", "ResultRow", "EvaluationResult",
     # config
     "ModelConfig", "SweepAxes", "ReportSpec",

@@ -37,7 +37,7 @@ from scipy import integrate
 from scipy.special import expit
 
 from .classifier import ClassifierModel, EmpiricalScores
-from .errors import ConfigError, FitInfeasibleError, QuadratureError
+from .errors import FitInfeasibleError, QuadratureError
 
 __all__ = [
     "EfficiencyCurve",
@@ -48,8 +48,6 @@ __all__ = [
     "fit_lambda",
     "sample_scores",
     "build_menu",
-    "build_l1t",
-    "build_hlt",
 ]
 
 # lam search bracket for the rate fit, in 1/GeV
@@ -71,6 +69,8 @@ class EfficiencyCurve:
     plateau: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.threshold, self.width, self.plateau))):
+            raise ValueError("threshold, width and plateau must be finite")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
         if self.width < 0:
@@ -108,6 +108,8 @@ class TriggerPath:
     momentum: MomentumDistribution | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.input_rate):
+            raise ValueError("input_rate must be finite")
         if not 0.0 < self.empirical_rate <= self.input_rate:
             raise ValueError("need 0 < empirical_rate <= input_rate")
 
@@ -319,15 +321,3 @@ def build_menu(menu: MenuSpec, seed: int = 0) -> ClassifierModel:
     )
     negative, positive = sample_scores(fitted, menu.mode, menu.sample_count, seed)
     return ClassifierModel(positive=positive, negative=negative, skill_factor=1.0)
-
-
-def build_l1t(menu: MenuSpec, seed: int = 0) -> ClassifierModel:
-    if menu.mode != "summed":
-        raise ConfigError(f"first-stage menu {menu.name!r} must use summed scores")
-    return build_menu(menu, seed)
-
-
-def build_hlt(menu: MenuSpec, seed: int = 0) -> ClassifierModel:
-    if menu.mode != "one-at-a-time":
-        raise ConfigError(f"second-stage menu {menu.name!r} must use one-at-a-time scores")
-    return build_menu(menu, seed)

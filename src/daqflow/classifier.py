@@ -28,7 +28,6 @@ from scipy import stats
 from .errors import DegeneratePopulationError, OperatingPointError
 
 __all__ = [
-    "ScoreDistribution",
     "ParametricScores",
     "EmpiricalScores",
     "ClassifierModel",
@@ -47,31 +46,8 @@ _FAMILIES = {"normal": stats.norm, "logistic": stats.logistic, "uniform": stats.
 MIN_EMPIRICAL_SAMPLES = 1000
 
 
-class ScoreDistribution:
-    """Common interface: cdf, quantile, mean, atom_mass, shift, support."""
-
-    def cdf(self, z: float) -> float:
-        raise NotImplementedError
-
-    def quantile(self, q: float) -> float:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def atom_mass(self, z: float) -> float:
-        """P(score == z); zero for continuous families."""
-        raise NotImplementedError
-
-    def shift(self, delta: float) -> "ScoreDistribution":
-        raise NotImplementedError
-
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ParametricScores(ScoreDistribution):
+class ParametricScores:
     """Continuous family: normal(loc, scale), logistic(loc, scale), uniform(lo, width)."""
 
     family: str
@@ -107,7 +83,7 @@ class ParametricScores(ScoreDistribution):
         return float(lo), float(hi)
 
 
-class EmpiricalScores(ScoreDistribution):
+class EmpiricalScores:
     """Sorted sample array with right-continuous step CDF."""
 
     __slots__ = ("samples",)
@@ -160,8 +136,8 @@ class EmpiricalScores(ScoreDistribution):
 
 @dataclass(frozen=True)
 class ClassifierModel:
-    positive: ScoreDistribution
-    negative: ScoreDistribution
+    positive: ParametricScores | EmpiricalScores
+    negative: ParametricScores | EmpiricalScores
     skill_factor: float = 1.0
 
     def __post_init__(self) -> None:
@@ -371,8 +347,8 @@ def apply_skill(model: ClassifierModel, skill_factor: float) -> ClassifierModel:
     distribution stay put so the false-population rejection behavior remains
     comparable across skill settings.
     """
-    if skill_factor < 0:
-        raise ValueError("skill_factor must be >= 0")
+    if not math.isfinite(skill_factor) or skill_factor < 0:
+        raise ValueError("skill_factor must be finite and >= 0")
     if skill_factor == 1.0:
         return model
     separation = model.positive.mean() - model.negative.mean()

@@ -3,9 +3,14 @@
 A config file declares one complete scenario: the pipeline topology, trigger
 menus, beam conditions, hardware era, upgrade variants, and optionally sweep
 axes or report tables.  Parsing is strict: every dimensioned quantity must
-carry a unit suffix, unknown fields are rejected, and all problems are
-collected and reported together with file:line locations instead of stopping
-at the first one.
+carry a unit suffix, unknown fields are rejected, non-finite numbers are
+refused, and all problems are collected and reported together with
+file:line locations instead of stopping at the first one.
+
+Every table-shaped section (conditions, era, variants, trigger paths, menus,
+function and scaling forms, nodes, links) is described once, as a _Table of
+_Field records.  _read_table() walks a table to check a mapping and build
+its object; _write_table() walks the same table to emit the object again.
 
 A file may name a single parent via `extends:`; the child's sections are
 deep-merged over the parent's (scalars and lists replace, mappings merge).
@@ -17,12 +22,14 @@ config, so programmatic edits can round-trip through files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import yaml
 
-from .calibration import EfficiencyCurve, MenuSpec, TriggerPath, build_menu
+from .calibration import DEFAULT_SAMPLE_COUNT, EfficiencyCurve, MenuSpec, TriggerPath, build_menu
 from .errors import ConfigError
 from .functions import (
     ConstantFn,
@@ -43,7 +50,7 @@ from .scenario import (
     TechnologyEra,
     VariantConfig,
 )
-from .units import UnitError, format_quantity, parse_quantity, parse_ratio
+from .units import KINDS, UnitError, format_quantity, parse_quantity, parse_ratio
 
 __all__ = [
     "ModelConfig",
@@ -135,7 +142,7 @@ def _loc(mapping) -> str:
     return "?"
 
 
-def _check_fields(ctx: _Ctx, mapping: dict, section: str, allowed: set, required=()) -> bool:
+def _check_fields(ctx: _Ctx, mapping: dict, section: str, allowed, required=()) -> bool:
     loc = _loc(mapping)
     for key in mapping:
         if key != _LOC and key not in allowed:
@@ -155,50 +162,8 @@ def _expect_mapping(ctx: _Ctx, value, section: str, loc: str) -> dict:
     return value
 
 
-def _num(ctx, mapping, section, key, default=None, minimum=None, maximum=None):
+def _str(ctx, mapping, section, key, default=None):
     if key not in mapping:
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        ctx.error(_loc(mapping), f"{section}.{key}: expected a number, got {v!r}")
-        return default
-    v = float(v)
-    if minimum is not None and v < minimum:
-        ctx.error(_loc(mapping), f"{section}.{key}: must be >= {minimum}, got {v!r}")
-        return default
-    if maximum is not None and v > maximum:
-        ctx.error(_loc(mapping), f"{section}.{key}: must be <= {maximum}, got {v!r}")
-        return default
-    return v
-
-
-def _int(ctx, mapping, section, key, default=None, minimum=None):
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        ctx.error(_loc(mapping), f"{section}.{key}: expected an integer, got {v!r}")
-        return default
-    if minimum is not None and v < minimum:
-        ctx.error(_loc(mapping), f"{section}.{key}: must be >= {minimum}, got {v!r}")
-        return default
-    return v
-
-
-def _bool(ctx, mapping, section, key, default=False):
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if not isinstance(v, bool):
-        ctx.error(_loc(mapping), f"{section}.{key}: expected true/false, got {v!r}")
-        return default
-    return v
-
-
-def _str(ctx, mapping, section, key, default=None, required=False):
-    if key not in mapping:
-        if required:
-            ctx.error(_loc(mapping), f"{section}: missing required field {key!r}")
         return default
     v = mapping[key]
     if not isinstance(v, str) or not v:
@@ -207,447 +172,340 @@ def _str(ctx, mapping, section, key, default=None, required=False):
     return v
 
 
-def _qty(ctx, mapping, section, key, kind, default=None):
-    if key not in mapping:
-        return default
-    try:
-        return parse_quantity(mapping[key], kind)
-    except UnitError as exc:
-        ctx.error(_loc(mapping), f"{section}.{key}: {exc}")
-        return default
+# === section tables ===
 
 
-def _ratio(ctx, mapping, section, key, default=None):
-    if key not in mapping:
-        return default
-    try:
-        return parse_ratio(mapping[key])
-    except (UnitError, ValueError) as exc:
-        ctx.error(_loc(mapping), f"{section}.{key}: {exc}")
-        return default
+@dataclass(frozen=True)
+class _Field:
+    """One key of a table-shaped section.
+
+    attr is the attribute the writer reads, dotted for a nested object; its
+    last component is the keyword the table's constructor takes.  attr None
+    marks a key the section accepts but its object does not hold; the caller
+    reads that key itself.  kind is "number", "int", "bool", "str", "ratio",
+    "bits" (a size string or a bare number of bits), a units.KINDS name, or a
+    nested _Table, _OneOf or _ListOf.  minimum is an inclusive lower bound.
+    """
+
+    key: str
+    attr: str | None
+    kind: object
+    default: object = None
+    required: bool = False
+    minimum: float | None = None
 
 
-# === section parsers ===
+class _Table:
+    def __init__(self, build, fields: tuple[_Field, ...]):
+        self.build = build  # class, or function taking the fields as keywords
+        self.fields = fields
+        self.keys = {f.key for f in fields}
+        self.required = tuple(f.key for f in fields if f.required)
+        # (field, constructor keyword or None) in field order
+        self.slots = tuple((f, f.attr and f.attr.rpartition(".")[2]) for f in fields)
 
 
-def _parse_conditions(ctx: _Ctx, mapping: dict) -> ExperimentConditions:
-    _check_fields(
-        ctx,
-        mapping,
-        "conditions",
-        allowed={
-            "pileup",
-            "reference_pileup",
-            "bunch_rate",
-            "l1_reduction",
-            "hlt_reduction",
-            "relevant_fraction",
-        },
-        required=("pileup", "reference_pileup"),
+@dataclass(frozen=True)
+class _OneOf:
+    """Tagged union: the value under `tag` picks the table."""
+
+    tag: str
+    tables: dict[str, _Table]
+
+
+@dataclass(frozen=True)
+class _ListOf:
+    item: object
+
+
+def _trigger_path(object_name, threshold, width, plateau, empirical_rate, input_rate):
+    curve = EfficiencyCurve(
+        object_name=object_name, threshold=threshold, width=width, plateau=plateau
     )
-    pileup = _num(ctx, mapping, "conditions", "pileup", default=1.0)
-    reference = _num(ctx, mapping, "conditions", "reference_pileup", default=1.0)
-    try:
-        return ExperimentConditions(
-            pileup=pileup,
-            reference_pileup=reference,
-            bunch_rate=_qty(ctx, mapping, "conditions", "bunch_rate", "rate"),
-            l1_reduction=_ratio(ctx, mapping, "conditions", "l1_reduction"),
-            hlt_reduction=_ratio(ctx, mapping, "conditions", "hlt_reduction"),
-            relevant_fraction=_num(ctx, mapping, "conditions", "relevant_fraction"),
-        )
-    except ValueError as exc:
-        ctx.error(_loc(mapping), f"conditions: {exc}")
-        return ExperimentConditions(pileup=1.0, reference_pileup=1.0)
-
-
-def _parse_era(ctx: _Ctx, mapping: dict | None) -> TechnologyEra:
-    if mapping is None:
-        return TechnologyEra(year=2024, efficiency_factor=1.0)
-    _check_fields(
-        ctx,
-        mapping,
-        "era",
-        allowed={"year", "efficiency_factor", "baseline_year", "scale_links"},
-        required=("year", "efficiency_factor"),
+    return TriggerPath(
+        object_name=object_name,
+        curve=curve,
+        empirical_rate=empirical_rate,
+        input_rate=input_rate,
     )
-    try:
-        return TechnologyEra(
-            year=_int(ctx, mapping, "era", "year", default=2024),
-            efficiency_factor=_num(ctx, mapping, "era", "efficiency_factor", default=1.0),
-            baseline_year=_int(ctx, mapping, "era", "baseline_year", default=2024),
-            scale_links=_bool(ctx, mapping, "era", "scale_links"),
-        )
-    except ValueError as exc:
-        ctx.error(_loc(mapping), f"era: {exc}")
-        return TechnologyEra(year=2024, efficiency_factor=1.0)
 
 
-def _parse_variants(ctx: _Ctx, mapping: dict | None) -> VariantConfig:
-    if mapping is None:
-        return VariantConfig()
-    _check_fields(ctx, mapping, "variants", allowed=set(VARIANT_NAMES))
-    gpu_map = _expect_mapping(ctx, mapping.get("gpu_hlt", {}), "variants.gpu_hlt", _loc(mapping))
-    l1_map = _expect_mapping(ctx, mapping.get("l1_tracks", {}), "variants.l1_tracks", _loc(mapping))
-    smart_map = _expect_mapping(
-        ctx, mapping.get("smart_pixels", {}), "variants.smart_pixels", _loc(mapping)
-    )
-    _check_fields(
-        ctx, gpu_map, "variants.gpu_hlt", allowed={"enabled", "throughput_gain", "unit_power"}
-    )
-    _check_fields(ctx, l1_map, "variants.l1_tracks", allowed={"enabled", "skill_factor"})
-    _check_fields(
-        ctx,
-        smart_map,
-        "variants.smart_pixels",
-        allowed={"enabled", "data_reduction", "detector_power"},
-    )
-    try:
-        gpu = GpuHlt(
-            enabled=_bool(ctx, gpu_map, "variants.gpu_hlt", "enabled"),
-            throughput_gain=_num(ctx, gpu_map, "variants.gpu_hlt", "throughput_gain", default=0.5),
-            unit_power_w=_qty(ctx, gpu_map, "variants.gpu_hlt", "unit_power", "power", default=400.0),
-        )
-        l1 = L1Tracks(
-            enabled=_bool(ctx, l1_map, "variants.l1_tracks", "enabled"),
-            skill_factor=_num(ctx, l1_map, "variants.l1_tracks", "skill_factor", default=1.4),
-        )
-        smart = SmartPixels(
-            enabled=_bool(ctx, smart_map, "variants.smart_pixels", "enabled"),
-            data_reduction=_num(
-                ctx, smart_map, "variants.smart_pixels", "data_reduction", default=0.54
-            ),
-            detector_power_w=_qty(
-                ctx, smart_map, "variants.smart_pixels", "detector_power", "power", default=2300.0
-            ),
-        )
-        return VariantConfig(gpu_hlt=gpu, l1_tracks=l1, smart_pixels=smart)
-    except ValueError as exc:
-        ctx.error(_loc(mapping), f"variants: {exc}")
-        return VariantConfig()
+_CONDITIONS = _Table(ExperimentConditions, (
+    _Field("pileup", "pileup", "number", required=True),
+    _Field("reference_pileup", "reference_pileup", "number", required=True),
+    _Field("bunch_rate", "bunch_rate", "rate"),
+    _Field("l1_reduction", "l1_reduction", "ratio"),
+    _Field("hlt_reduction", "hlt_reduction", "ratio"),
+    _Field("relevant_fraction", "relevant_fraction", "number"),
+))
+
+_ERA = _Table(TechnologyEra, (
+    _Field("year", "year", "int", required=True),
+    _Field("efficiency_factor", "efficiency_factor", "number", required=True),
+    _Field("baseline_year", "baseline_year", "int", default=2024),
+    _Field("scale_links", "scale_links", "bool", default=False),
+))
+
+_ENABLED = _Field("enabled", "enabled", "bool", default=False)
+
+_VARIANTS = _Table(VariantConfig, (
+    _Field("gpu_hlt", "gpu_hlt", _Table(GpuHlt, (
+        _ENABLED,
+        _Field("throughput_gain", "throughput_gain", "number", default=0.5),
+        _Field("unit_power", "unit_power_w", "power", default=400.0),
+    )), default=GpuHlt()),
+    _Field("l1_tracks", "l1_tracks", _Table(L1Tracks, (
+        _ENABLED,
+        _Field("skill_factor", "skill_factor", "number", default=1.4),
+    )), default=L1Tracks()),
+    _Field("smart_pixels", "smart_pixels", _Table(SmartPixels, (
+        _ENABLED,
+        _Field("data_reduction", "data_reduction", "number", default=0.54),
+        _Field("detector_power", "detector_power_w", "power", default=2300.0),
+    )), default=SmartPixels()),
+))
+
+_PATH = _Table(_trigger_path, (
+    _Field("name", "object_name", "str", required=True),
+    _Field("threshold", "curve.threshold", "momentum", required=True),
+    _Field("width", "curve.width", "momentum", required=True),
+    _Field("plateau", "curve.plateau", "number", required=True),
+    _Field("empirical_rate", "empirical_rate", "rate", required=True),
+    _Field("input_rate", "input_rate", "rate", required=True),
+))
+
+# the menu's name is its key under calibration.menus, passed in by the caller
+_MENU = _Table(MenuSpec, (
+    _Field("mode", "mode", "str", required=True),
+    # the sampler itself refuses fewer than 1000 samples; catch that here with a location
+    _Field("sample_count", "sample_count", "int", default=DEFAULT_SAMPLE_COUNT, minimum=1000),
+    _Field("paths", "paths", _ListOf(_PATH), required=True),
+))
+
+_FUNCTION = _OneOf("form", {
+    "constant": _Table(ConstantFn, (
+        _Field("value", "value", "number", required=True, minimum=0.0),
+    )),
+    "linear": _Table(LinearFn, (
+        _Field("slope", "slope", "number", required=True, minimum=0.0),
+        _Field("intercept", "intercept", "number", default=0.0, minimum=0.0),
+    )),
+    "power_law": _Table(PowerLawFn, (
+        _Field("exponent", "exponent", "number", required=True, minimum=0.0),
+        _Field("value_at_reference", "value_at_reference", "number", required=True, minimum=0.0),
+        _Field("reference", "reference", "size", required=True),
+    )),
+    "table": _Table(TableFn, (
+        _Field("xs", "xs", _ListOf("bits"), required=True),
+        _Field("ys", "ys", _ListOf("number"), required=True),
+    )),
+})
+
+_SCALING = _OneOf("form", {
+    "constant": _Table(ConstantScaling, ()),
+    "proportional": _Table(ProportionalScaling, (
+        _Field("reference", "reference", "number", required=True, minimum=1e-12),
+    )),
+    "table": _Table(TableScaling, (
+        _Field("pileups", "pileups", _ListOf("number"), required=True),
+        _Field("multipliers", "multipliers", _ListOf("number"), required=True),
+    )),
+})
+
+_ID = _Field("id", "id", "str", required=True)
+_ROLE = _Field("role", "role", "str")
+_CONSTANT_POWER = _Field("constant_power", "constant_power_w", "power", default=0.0)
+
+_NODE = _OneOf("kind", {
+    "sensor": _Table(SensorNode, (
+        _ID,
+        _ROLE,
+        _Field("sample_size", "sample_size", "size", required=True),
+        _Field("sample_rate", "sample_rate", "rate", required=True),
+        _Field("relevant_fraction", "relevant_fraction", "number", default=0.0),
+        _Field("pileup_scaling", "pileup_scaling", _SCALING, default=ConstantScaling()),
+        _Field("enabled_min_pileup", "enabled_min_pileup", "number"),
+        _CONSTANT_POWER,
+    )),
+    "process": _Table(ProcessNode, (
+        _ID,
+        _ROLE,
+        _Field("complexity", "complexity", _FUNCTION, required=True),
+        _Field("energy_per_op", "energy_per_op", "energy_per_op", required=True),
+        _Field("output_size", "output_size", _FUNCTION, required=True),
+        _Field("classifier", None, "str"),  # a calibration.menus name, see _read_nodes
+        _Field("reduction_target", "reduction_target", "ratio"),
+        _Field("unit_power", "unit_power_w", "power"),
+        _CONSTANT_POWER,
+    )),
+    "output": _Table(OutputNode, (_ID,)),
+})
+
+_LINK = _Table(CommLink, (
+    _ID,
+    _Field("source", "source", "str", required=True),
+    _Field("target", "target", "str", required=True),
+    _Field("energy_per_bit", "energy_per_bit", "energy_per_bit", required=True),
+    _Field("bandwidth_per_channel", "bandwidth_per_channel", "bandwidth", required=True),
+))
+
+# Stage role -> (menu mode it needs, stage name for the message).
+_STAGE_MODES = {"l1t": ("summed", "first-stage"), "hlt": ("one-at-a-time", "second-stage")}
 
 
-def _parse_path(ctx: _Ctx, mapping: dict, section: str) -> TriggerPath | None:
-    ok = _check_fields(
-        ctx,
-        mapping,
-        section,
-        allowed={"name", "threshold", "width", "plateau", "empirical_rate", "input_rate"},
-        required=("name", "threshold", "width", "plateau", "empirical_rate", "input_rate"),
-    )
+# === generic reader ===
+
+_BAD = object()  # a value that failed to read; its problem is already recorded
+
+
+def _read_scalar(kind: str, v):
+    if kind in KINDS:
+        return parse_quantity(v, kind)
+    if kind == "ratio":
+        return parse_ratio(v)
+    if kind == "bits" and isinstance(v, str):
+        return parse_quantity(v, "size")
+    if kind == "bool":
+        if not isinstance(v, bool):
+            raise ValueError(f"expected true/false, got {v!r}")
+        return v
+    if kind == "str":
+        if not isinstance(v, str) or not v:
+            raise ValueError(f"expected a non-empty string, got {v!r}")
+        return v
+    if kind == "int":
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"expected an integer, got {v!r}")
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _read_value(ctx: _Ctx, kind, v, loc: str, where: str):
+    """Read one value of any kind; _BAD (with the problem recorded) on failure."""
+    if isinstance(kind, str):
+        try:
+            value = _read_scalar(kind, v)
+        except (UnitError, ValueError) as exc:
+            ctx.error(loc, f"{where}: {exc}")
+            return _BAD
+        if isinstance(value, float) and not math.isfinite(value):
+            ctx.error(loc, f"{where}: must be finite, got {value!r}")
+            return _BAD
+        return value
+    if isinstance(kind, _Table):
+        return _read_table(ctx, kind, v, where, loc)
+    if isinstance(kind, _OneOf):
+        if not isinstance(v, dict):
+            ctx.error(loc, f"{where}: expected a mapping, got {type(v).__name__}")
+            return _BAD
+        if kind.tag not in v:
+            ctx.error(_loc(v), f"{where}: missing required field {kind.tag!r}")
+            return _BAD
+        table = kind.tables.get(v[kind.tag]) if isinstance(v[kind.tag], str) else None
+        if table is None:
+            ctx.error(_loc(v), f"{where}.{kind.tag}: unknown {kind.tag} {v[kind.tag]!r}")
+            return _BAD
+        return _read_table(ctx, table, v, where, loc, tag=kind.tag)
+    # _ListOf
+    if not isinstance(v, list) or not v:
+        ctx.error(loc, f"{where}: expected a non-empty list")
+        return _BAD
+    items = [_read_value(ctx, kind.item, x, loc, f"{where}[{i}]") for i, x in enumerate(v)]
+    return _BAD if any(x is _BAD for x in items) else tuple(items)
+
+
+def _read_table(ctx: _Ctx, table: _Table, mapping, where: str, loc: str, tag=None, **fixed):
+    """Check a mapping against a table and build its object.
+
+    Reports unknown and missing keys and one problem per bad field; the
+    object is built only when every field read cleanly, so a bad field
+    never causes a follow-on error from a stand-in value.
+    """
+    if not isinstance(mapping, dict):
+        ctx.error(loc, f"{where}: expected a mapping, got {type(mapping).__name__}")
+        return _BAD
+    loc = _loc(mapping)
+    allowed = table.keys if tag is None else table.keys | {tag}
+    ok = _check_fields(ctx, mapping, where, allowed, table.required)
+    kwargs = dict(fixed)
+    for f, name in table.slots:
+        if f.key not in mapping:
+            value = f.default
+        else:
+            value = _read_value(ctx, f.kind, mapping[f.key], loc, f"{where}.{f.key}")
+            if value is not _BAD and f.minimum is not None and value < f.minimum:
+                ctx.error(loc, f"{where}.{f.key}: must be >= {f.minimum}, got {value!r}")
+                value = _BAD
+        if value is _BAD:
+            ok = False
+        elif name is not None:
+            kwargs[name] = value
     if not ok:
-        return None
-    name = _str(ctx, mapping, section, "name", required=True)
-    threshold = _qty(ctx, mapping, section, "threshold", "momentum")
-    width = _qty(ctx, mapping, section, "width", "momentum")
-    plateau = _num(ctx, mapping, section, "plateau", minimum=0.0, maximum=1.0)
-    empirical_rate = _qty(ctx, mapping, section, "empirical_rate", "rate")
-    input_rate = _qty(ctx, mapping, section, "input_rate", "rate")
-    if None in (name, threshold, width, plateau, empirical_rate, input_rate):
-        return None
+        return _BAD
     try:
-        curve = EfficiencyCurve(
-            object_name=name, threshold=threshold, width=width, plateau=plateau
-        )
-        return TriggerPath(
-            object_name=name,
-            curve=curve,
-            empirical_rate=empirical_rate,
-            input_rate=input_rate,
-        )
+        return table.build(**kwargs)
     except ValueError as exc:
-        ctx.error(_loc(mapping), f"{section}: {exc}")
-        return None
+        ctx.error(loc, f"{where}: {exc}")
+        return _BAD
 
 
-def _parse_calibration(ctx: _Ctx, mapping: dict | None) -> dict[str, MenuSpec]:
-    if mapping is None:
+def _list_section(ctx: _Ctx, data: dict, key: str) -> list:
+    raw = data.get(key)
+    if key in data and (not isinstance(raw, list) or not raw):
+        ctx.error(_loc(data), f"{key}: expected a non-empty list")
+    return raw if isinstance(raw, list) else []
+
+
+def _item_name(section: str, i: int, raw) -> str:
+    item_id = raw.get("id") if isinstance(raw, dict) else None
+    return f"{section}[{i}] ({item_id})" if isinstance(item_id, str) else f"{section}[{i}]"
+
+
+def _read_menus(ctx: _Ctx, data: dict) -> dict:
+    if "calibration" not in data:
         return {}
-    _check_fields(ctx, mapping, "calibration", allowed={"menus"}, required=("menus",))
-    menus_map = _expect_mapping(ctx, mapping.get("menus", {}), "calibration.menus", _loc(mapping))
-    menus: dict[str, MenuSpec] = {}
-    for name, menu_map in menus_map.items():
-        if name == _LOC:
-            continue
-        section = f"calibration.menus.{name}"
-        menu_map = _expect_mapping(ctx, menu_map, section, _loc(menus_map))
-        _check_fields(
-            ctx,
-            menu_map,
-            section,
-            allowed={"mode", "sample_count", "paths"},
-            required=("mode", "paths"),
+    cal = _expect_mapping(ctx, data["calibration"], "calibration", _loc(data))
+    _check_fields(ctx, cal, "calibration", allowed={"menus"}, required=("menus",))
+    menus_map = _expect_mapping(ctx, cal.get("menus", {}), "calibration.menus", _loc(cal))
+    return {
+        name: _read_table(
+            ctx, _MENU, raw, f"calibration.menus.{name}", _loc(menus_map), name=name
         )
-        mode = _str(ctx, menu_map, section, "mode", default="summed")
-        if mode not in ("summed", "one-at-a-time"):
-            ctx.error(_loc(menu_map), f"{section}.mode: must be 'summed' or 'one-at-a-time'")
-            mode = "summed"
-        raw_paths = menu_map.get("paths", [])
-        if not isinstance(raw_paths, list) or not raw_paths:
-            ctx.error(_loc(menu_map), f"{section}.paths: expected a non-empty list")
-            continue
-        paths = []
-        for i, p in enumerate(raw_paths):
-            p = _expect_mapping(ctx, p, f"{section}.paths[{i}]", _loc(menu_map))
-            path = _parse_path(ctx, p, f"{section}.paths[{i}]")
-            if path is not None:
-                paths.append(path)
-        if len(paths) != len(raw_paths):
-            continue
-        kwargs = {}
-        # the sampler itself refuses n < 1000, so catch that here with a location
-        sample_count = _int(ctx, menu_map, section, "sample_count", minimum=1000)
-        if sample_count is not None:
-            kwargs["sample_count"] = sample_count
-        menus[name] = MenuSpec(name=name, mode=mode, paths=tuple(paths), **kwargs)
-    return menus
+        for name, raw in menus_map.items()
+        if name != _LOC
+    }
 
 
-def _parse_fn(ctx: _Ctx, mapping, section: str):
-    loc = _loc(mapping) if isinstance(mapping, dict) else "?"
-    mapping = _expect_mapping(ctx, mapping, section, loc)
-    form = _str(ctx, mapping, section, "form", required=True)
-    try:
-        if form == "constant":
-            _check_fields(ctx, mapping, section, allowed={"form", "value"}, required=("value",))
-            return ConstantFn(value=_num(ctx, mapping, section, "value", default=0.0, minimum=0.0))
-        if form == "linear":
-            _check_fields(ctx, mapping, section, allowed={"form", "slope", "intercept"}, required=("slope",))
-            return LinearFn(
-                slope=_num(ctx, mapping, section, "slope", default=0.0, minimum=0.0),
-                intercept=_num(ctx, mapping, section, "intercept", default=0.0, minimum=0.0),
-            )
-        if form == "power_law":
-            _check_fields(
-                ctx,
-                mapping,
-                section,
-                allowed={"form", "exponent", "value_at_reference", "reference"},
-                required=("exponent", "value_at_reference", "reference"),
-            )
-            return PowerLawFn(
-                exponent=_num(ctx, mapping, section, "exponent", default=1.0, minimum=0.0),
-                value_at_reference=_num(
-                    ctx, mapping, section, "value_at_reference", default=0.0, minimum=0.0
-                ),
-                reference=_qty(ctx, mapping, section, "reference", "size", default=1.0),
-            )
-        if form == "table":
-            _check_fields(ctx, mapping, section, allowed={"form", "xs", "ys"}, required=("xs", "ys"))
-            xs_raw = mapping.get("xs", [])
-            ys_raw = mapping.get("ys", [])
-            if not isinstance(xs_raw, list) or not isinstance(ys_raw, list):
-                ctx.error(loc, f"{section}: xs and ys must be lists")
-                return ConstantFn(0.0)
-            xs = []
-            for x in xs_raw:
-                if isinstance(x, str):
-                    try:
-                        xs.append(parse_quantity(x, "size"))
-                    except UnitError as exc:
-                        ctx.error(loc, f"{section}.xs: {exc}")
-                        return ConstantFn(0.0)
-                elif isinstance(x, (int, float)) and not isinstance(x, bool):
-                    xs.append(float(x))
-                else:
-                    ctx.error(loc, f"{section}.xs: expected numbers or size strings")
-                    return ConstantFn(0.0)
-            if not all(isinstance(y, (int, float)) and not isinstance(y, bool) for y in ys_raw):
-                ctx.error(loc, f"{section}.ys: expected numbers")
-                return ConstantFn(0.0)
-            return TableFn(xs=tuple(xs), ys=tuple(float(y) for y in ys_raw))
-    except ValueError as exc:
-        ctx.error(loc, f"{section}: {exc}")
-        return ConstantFn(0.0)
-    if form is not None:
-        ctx.error(loc, f"{section}.form: unknown form {form!r}")
-    return ConstantFn(0.0)
-
-
-def _parse_scaling(ctx: _Ctx, mapping, section: str):
-    if mapping is None:
-        return ConstantScaling()
-    loc = _loc(mapping) if isinstance(mapping, dict) else "?"
-    mapping = _expect_mapping(ctx, mapping, section, loc)
-    form = _str(ctx, mapping, section, "form", required=True)
-    try:
-        if form == "constant":
-            _check_fields(ctx, mapping, section, allowed={"form"})
-            return ConstantScaling()
-        if form == "proportional":
-            _check_fields(ctx, mapping, section, allowed={"form", "reference"}, required=("reference",))
-            return ProportionalScaling(
-                reference=_num(ctx, mapping, section, "reference", default=1.0, minimum=1e-12)
-            )
-        if form == "table":
-            _check_fields(
-                ctx, mapping, section, allowed={"form", "pileups", "multipliers"},
-                required=("pileups", "multipliers"),
-            )
-            pileups = mapping.get("pileups", [])
-            multipliers = mapping.get("multipliers", [])
-            if not (isinstance(pileups, list) and isinstance(multipliers, list)):
-                ctx.error(loc, f"{section}: pileups and multipliers must be lists")
-                return ConstantScaling()
-            return TableScaling(
-                pileups=tuple(float(p) for p in pileups),
-                multipliers=tuple(float(m) for m in multipliers),
-            )
-    except (TypeError, ValueError) as exc:
-        ctx.error(loc, f"{section}: {exc}")
-        return ConstantScaling()
-    if form is not None:
-        ctx.error(loc, f"{section}.form: unknown form {form!r}")
-    return ConstantScaling()
-
-
-def _parse_nodes(ctx: _Ctx, data: dict, menus: dict[str, MenuSpec]):
-    raw_nodes = data.get("nodes", [])
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        ctx.error(_loc(data), "nodes: expected a non-empty list")
-        raw_nodes = []
+def _read_nodes(ctx: _Ctx, data: dict, menus: dict):
+    """Nodes, plus the classifier menu each process node references."""
     nodes = []
     classifier_refs: dict[str, str] = {}
-    for i, raw in enumerate(raw_nodes):
-        section = f"nodes[{i}]"
-        raw = _expect_mapping(ctx, raw, section, _loc(data))
-        kind = _str(ctx, raw, section, "kind", required=True)
-        node_id = _str(ctx, raw, section, "id", required=True)
-        if kind is None or node_id is None:
+    for i, raw in enumerate(_list_section(ctx, data, "nodes")):
+        where = _item_name("nodes", i, raw)
+        node = _read_value(ctx, _NODE, raw, _loc(data), where)
+        if node is _BAD:
             continue
-        section = f"nodes[{i}] ({node_id})"
-        try:
-            if kind == "sensor":
-                _check_fields(
-                    ctx,
-                    raw,
-                    section,
-                    allowed={
-                        "kind", "id", "role", "sample_size", "sample_rate",
-                        "relevant_fraction", "pileup_scaling", "enabled_min_pileup",
-                        "constant_power",
-                    },
-                    required=("sample_size", "sample_rate"),
-                )
-                nodes.append(
-                    SensorNode(
-                        id=node_id,
-                        sample_size=_qty(ctx, raw, section, "sample_size", "size", default=1.0),
-                        sample_rate=_qty(ctx, raw, section, "sample_rate", "rate", default=1.0),
-                        relevant_fraction=_num(
-                            ctx, raw, section, "relevant_fraction", default=0.0,
-                            minimum=0.0, maximum=1.0,
-                        ),
-                        pileup_scaling=_parse_scaling(
-                            ctx, raw.get("pileup_scaling"), f"{section}.pileup_scaling"
-                        ),
-                        role=_str(ctx, raw, section, "role"),
-                        enabled_min_pileup=_num(ctx, raw, section, "enabled_min_pileup"),
-                        constant_power_w=_qty(
-                            ctx, raw, section, "constant_power", "power", default=0.0
-                        ),
-                    )
-                )
-            elif kind == "process":
-                _check_fields(
-                    ctx,
-                    raw,
-                    section,
-                    allowed={
-                        "kind", "id", "role", "complexity", "energy_per_op", "output_size",
-                        "classifier", "reduction_target", "unit_power", "constant_power",
-                    },
-                    required=("complexity", "energy_per_op", "output_size"),
-                )
-                menu_name = _str(ctx, raw, section, "classifier")
-                if menu_name is not None:
-                    if menu_name not in menus:
-                        ctx.error(
-                            _loc(raw),
-                            f"{section}.classifier: menu {menu_name!r} is not defined "
-                            "under calibration.menus",
-                        )
-                    else:
-                        classifier_refs[node_id] = menu_name
-                nodes.append(
-                    ProcessNode(
-                        id=node_id,
-                        complexity=(
-                            _parse_fn(ctx, raw["complexity"], f"{section}.complexity")
-                            if "complexity" in raw
-                            else ConstantFn(0.0)
-                        ),
-                        energy_per_op=_qty(
-                            ctx, raw, section, "energy_per_op", "energy_per_op", default=0.0
-                        ),
-                        output_size=(
-                            _parse_fn(ctx, raw["output_size"], f"{section}.output_size")
-                            if "output_size" in raw
-                            else ConstantFn(0.0)
-                        ),
-                        classifier=None,
-                        reduction_target=_ratio(ctx, raw, section, "reduction_target"),
-                        role=_str(ctx, raw, section, "role"),
-                        unit_power_w=_qty(ctx, raw, section, "unit_power", "power"),
-                        constant_power_w=_qty(
-                            ctx, raw, section, "constant_power", "power", default=0.0
-                        ),
-                    )
-                )
-            elif kind == "output":
-                _check_fields(ctx, raw, section, allowed={"kind", "id"})
-                nodes.append(OutputNode(id=node_id))
-            else:
-                ctx.error(_loc(raw), f"{section}.kind: unknown kind {kind!r}")
-        except ValueError as exc:
-            ctx.error(_loc(raw), f"{section}: {exc}")
-    return tuple(nodes), classifier_refs
-
-
-def _parse_links(ctx: _Ctx, data: dict):
-    raw_links = data.get("links", [])
-    if not isinstance(raw_links, list) or not raw_links:
-        ctx.error(_loc(data), "links: expected a non-empty list")
-        raw_links = []
-    links = []
-    for i, raw in enumerate(raw_links):
-        section = f"links[{i}]"
-        raw = _expect_mapping(ctx, raw, section, _loc(data))
-        link_id = _str(ctx, raw, section, "id", required=True)
-        if link_id is None:
+        nodes.append(node)
+        menu_name = raw.get("classifier") if isinstance(node, ProcessNode) else None
+        if menu_name is None:
             continue
-        section = f"links[{i}] ({link_id})"
-        ok = _check_fields(
-            ctx,
-            raw,
-            section,
-            allowed={
-                "id", "source", "target", "energy_per_bit", "bandwidth_per_channel",
-                "latency", "shoreline",
-            },
-            required=("source", "target", "energy_per_bit", "bandwidth_per_channel"),
-        )
-        if not ok:
-            continue
-        try:
-            links.append(
-                CommLink(
-                    id=link_id,
-                    source=_str(ctx, raw, section, "source", default=""),
-                    target=_str(ctx, raw, section, "target", default=""),
-                    energy_per_bit=_qty(
-                        ctx, raw, section, "energy_per_bit", "energy_per_bit", default=0.0
-                    ),
-                    bandwidth_per_channel=_qty(
-                        ctx, raw, section, "bandwidth_per_channel", "bandwidth", default=1.0
-                    ),
-                    latency=_qty(ctx, raw, section, "latency", "time", default=0.0),
-                    shoreline=_qty(ctx, raw, section, "shoreline", "length", default=0.0),
-                )
+        if menu_name not in menus:
+            ctx.error(
+                _loc(raw),
+                f"{where}.classifier: menu {menu_name!r} is not defined under calibration.menus",
             )
-        except ValueError as exc:
-            ctx.error(_loc(raw), f"{section}: {exc}")
-    return tuple(links)
+            continue
+        classifier_refs[node.id] = menu_name
+        mode, stage = _STAGE_MODES.get(node.role, (None, None))
+        menu = menus[menu_name]
+        if mode is not None and menu is not _BAD and menu.mode != mode:
+            ctx.error(
+                _loc(raw),
+                f"{where}.classifier: {stage} menu {menu_name!r} must use {mode} scores",
+            )
+    return tuple(nodes), classifier_refs
 
 
 @dataclass(frozen=True)
@@ -675,7 +533,10 @@ def _parse_sweep(ctx: _Ctx, mapping: dict | None) -> SweepAxes | None:
         out = []
         for v in raw:
             try:
-                out.append(convert(v))
+                value = convert(v)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"must be finite, got {value!r}")
+                out.append(value)
             except (UnitError, ValueError, TypeError) as exc:
                 ctx.error(_loc(mapping), f"sweep.{key}: {exc}")
         return tuple(out) if out else (None,)
@@ -811,7 +672,11 @@ _TOP_LEVEL = {
 def _build_config(data: dict, base_dir: Path | None, source: str | None) -> ModelConfig:
     ctx = _Ctx()
     _check_fields(
-        ctx, data, "config", allowed=_TOP_LEVEL, required=("schema_version", "nodes", "links")
+        ctx,
+        data,
+        "config",
+        allowed=_TOP_LEVEL,
+        required=("schema_version", "conditions", "nodes", "links"),
     )
     version = data.get("schema_version")
     if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
@@ -838,31 +703,22 @@ def _build_config(data: dict, base_dir: Path | None, source: str | None) -> Mode
             else:
                 seeds[k] = v
 
-    if "conditions" not in data:
-        ctx.error(_loc(data), "config: missing required field 'conditions'")
-        conditions = ExperimentConditions(pileup=1.0, reference_pileup=1.0)
-    else:
-        conditions = _parse_conditions(
-            ctx, _expect_mapping(ctx, data["conditions"], "conditions", _loc(data))
+    def section(key, table, default):
+        return _read_value(ctx, table, data[key], _loc(data), key) if key in data else default
+
+    conditions = section("conditions", _CONDITIONS, _BAD)
+    era = section("era", _ERA, TechnologyEra(year=2024, efficiency_factor=1.0))
+    variants = section("variants", _VARIANTS, VariantConfig())
+    menus = _read_menus(ctx, data)
+    nodes, classifier_refs = _read_nodes(ctx, data, menus)
+    links = tuple(
+        link
+        for link in (
+            _read_value(ctx, _LINK, raw, _loc(data), _item_name("links", i, raw))
+            for i, raw in enumerate(_list_section(ctx, data, "links"))
         )
-    era = _parse_era(
-        ctx,
-        _expect_mapping(ctx, data["era"], "era", _loc(data)) if "era" in data else None,
+        if link is not _BAD
     )
-    variants = _parse_variants(
-        ctx,
-        _expect_mapping(ctx, data["variants"], "variants", _loc(data))
-        if "variants" in data
-        else None,
-    )
-    menus = _parse_calibration(
-        ctx,
-        _expect_mapping(ctx, data["calibration"], "calibration", _loc(data))
-        if "calibration" in data
-        else None,
-    )
-    nodes, classifier_refs = _parse_nodes(ctx, data, menus)
-    links = _parse_links(ctx, data)
     sweep_axes = _parse_sweep(
         ctx,
         _expect_mapping(ctx, data["sweep"], "sweep", _loc(data)) if "sweep" in data else None,
@@ -928,45 +784,36 @@ def parse_config(text: str, *, base_dir=None, filename: str = "<config>") -> Mod
     return _build_config(data, base_dir=base, source=None)
 
 
-# === serialization ===
+# === generic writer ===
 
 
-def _fn_spec(fn, what: str) -> dict:
-    if isinstance(fn, ConstantFn):
-        return {"form": "constant", "value": fn.value}
-    if isinstance(fn, LinearFn):
-        spec = {"form": "linear", "slope": fn.slope}
-        if fn.intercept:
-            spec["intercept"] = fn.intercept
-        return spec
-    if isinstance(fn, PowerLawFn):
-        return {
-            "form": "power_law",
-            "exponent": fn.exponent,
-            "value_at_reference": fn.value_at_reference,
-            "reference": format_quantity(fn.reference, "size"),
-        }
-    if isinstance(fn, TableFn):
-        return {
-            "form": "table",
-            "xs": [format_quantity(x, "size") for x in fn.xs],
-            "ys": list(fn.ys),
-        }
-    raise ConfigError(f"{what}: cannot serialize function form {type(fn).__name__}")
+def _write_value(kind, value):
+    if isinstance(kind, _Table):
+        return _write_table(kind, value)
+    if isinstance(kind, _OneOf):
+        for tag, table in kind.tables.items():
+            if type(value) is table.build:
+                return {kind.tag: tag, **_write_table(table, value)}
+        raise ConfigError(f"cannot serialize {type(value).__name__} as a config {kind.tag}")
+    if isinstance(kind, _ListOf):
+        return [_write_value(kind.item, v) for v in value]
+    if kind == "bits":
+        return format_quantity(value, "size")
+    if kind in KINDS:
+        return format_quantity(value, kind)
+    return value
 
 
-def _scaling_spec(scaling, what: str) -> dict:
-    if isinstance(scaling, ConstantScaling):
-        return {"form": "constant"}
-    if isinstance(scaling, ProportionalScaling):
-        return {"form": "proportional", "reference": scaling.reference}
-    if isinstance(scaling, TableScaling):
-        return {
-            "form": "table",
-            "pileups": list(scaling.pileups),
-            "multipliers": list(scaling.multipliers),
-        }
-    raise ConfigError(f"{what}: cannot serialize scaling form {type(scaling).__name__}")
+def _write_table(table: _Table, obj) -> dict:
+    """Emit the object's fields; optional fields at their default are left out."""
+    out = {}
+    for f in table.fields:
+        if f.attr is None:
+            continue
+        value = attrgetter(f.attr)(obj)
+        if f.required or value != f.default:
+            out[f.key] = _write_value(f.kind, value)
+    return out
 
 
 def serialize_config(cfg: ModelConfig) -> str:
@@ -976,121 +823,20 @@ def serialize_config(cfg: ModelConfig) -> str:
         data["description"] = cfg.description
     if cfg.seeds:
         data["seeds"] = dict(cfg.seeds)
+    data["conditions"] = _write_table(_CONDITIONS, cfg.conditions)
+    data["era"] = _write_table(_ERA, cfg.era)
+    data["variants"] = _write_table(_VARIANTS, cfg.variants)
 
-    c = cfg.conditions
-    cond: dict = {"pileup": c.pileup, "reference_pileup": c.reference_pileup}
-    if c.bunch_rate is not None:
-        cond["bunch_rate"] = format_quantity(c.bunch_rate, "rate")
-    if c.l1_reduction is not None:
-        cond["l1_reduction"] = c.l1_reduction
-    if c.hlt_reduction is not None:
-        cond["hlt_reduction"] = c.hlt_reduction
-    if c.relevant_fraction is not None:
-        cond["relevant_fraction"] = c.relevant_fraction
-    data["conditions"] = cond
-
-    e = cfg.era
-    data["era"] = {
-        "year": e.year,
-        "efficiency_factor": e.efficiency_factor,
-        "baseline_year": e.baseline_year,
-        "scale_links": e.scale_links,
-    }
-
-    v = cfg.variants
-    data["variants"] = {
-        "gpu_hlt": {
-            "enabled": v.gpu_hlt.enabled,
-            "throughput_gain": v.gpu_hlt.throughput_gain,
-            "unit_power": format_quantity(v.gpu_hlt.unit_power_w, "power"),
-        },
-        "l1_tracks": {
-            "enabled": v.l1_tracks.enabled,
-            "skill_factor": v.l1_tracks.skill_factor,
-        },
-        "smart_pixels": {
-            "enabled": v.smart_pixels.enabled,
-            "data_reduction": v.smart_pixels.data_reduction,
-            "detector_power": format_quantity(v.smart_pixels.detector_power_w, "power"),
-        },
-    }
-
-    node_specs = []
+    data["nodes"] = []
     for n in cfg.nodes:
-        if isinstance(n, SensorNode):
-            spec: dict = {
-                "kind": "sensor",
-                "id": n.id,
-                "sample_size": format_quantity(n.sample_size, "size"),
-                "sample_rate": format_quantity(n.sample_rate, "rate"),
-            }
-            if n.role is not None:
-                spec["role"] = n.role
-            if n.relevant_fraction:
-                spec["relevant_fraction"] = n.relevant_fraction
-            spec["pileup_scaling"] = _scaling_spec(n.pileup_scaling, f"sensor {n.id}")
-            if n.enabled_min_pileup is not None:
-                spec["enabled_min_pileup"] = n.enabled_min_pileup
-            if n.constant_power_w:
-                spec["constant_power"] = format_quantity(n.constant_power_w, "power")
-        elif isinstance(n, ProcessNode):
-            spec = {
-                "kind": "process",
-                "id": n.id,
-                "complexity": _fn_spec(n.complexity, f"process {n.id} complexity"),
-                "energy_per_op": format_quantity(n.energy_per_op, "energy_per_op"),
-                "output_size": _fn_spec(n.output_size, f"process {n.id} output_size"),
-            }
-            if n.role is not None:
-                spec["role"] = n.role
-            if n.id in cfg.classifier_refs:
-                spec["classifier"] = cfg.classifier_refs[n.id]
-            if n.reduction_target is not None:
-                spec["reduction_target"] = n.reduction_target
-            if n.unit_power_w is not None:
-                spec["unit_power"] = format_quantity(n.unit_power_w, "power")
-            if n.constant_power_w:
-                spec["constant_power"] = format_quantity(n.constant_power_w, "power")
-        else:
-            spec = {"kind": "output", "id": n.id}
-        node_specs.append(spec)
-    data["nodes"] = node_specs
-
-    link_specs = []
-    for l in cfg.links:
-        spec = {
-            "id": l.id,
-            "source": l.source,
-            "target": l.target,
-            "energy_per_bit": format_quantity(l.energy_per_bit, "energy_per_bit"),
-            "bandwidth_per_channel": format_quantity(l.bandwidth_per_channel, "bandwidth"),
-        }
-        if l.latency:
-            spec["latency"] = format_quantity(l.latency, "time")
-        if l.shoreline:
-            spec["shoreline"] = format_quantity(l.shoreline, "length")
-        link_specs.append(spec)
-    data["links"] = link_specs
+        spec = _write_value(_NODE, n)
+        if n.id in cfg.classifier_refs:
+            spec["classifier"] = cfg.classifier_refs[n.id]
+        data["nodes"].append(spec)
+    data["links"] = [_write_table(_LINK, link) for link in cfg.links]
 
     if cfg.menus:
-        menus = {}
-        for name in cfg.menus:
-            m = cfg.menus[name]
-            menus[name] = {
-                "mode": m.mode,
-                "sample_count": m.sample_count,
-                "paths": [
-                    {
-                        "name": p.object_name,
-                        "threshold": format_quantity(p.curve.threshold, "momentum"),
-                        "width": format_quantity(p.curve.width, "momentum"),
-                        "plateau": p.curve.plateau,
-                        "empirical_rate": format_quantity(p.empirical_rate, "rate"),
-                        "input_rate": format_quantity(p.input_rate, "rate"),
-                    }
-                    for p in m.paths
-                ],
-            }
+        menus = {name: _write_table(_MENU, menu) for name, menu in cfg.menus.items()}
         data["calibration"] = {"menus": menus}
 
     if cfg.sweep is not None:

@@ -17,7 +17,6 @@ __all__ = [
     "LinearFn",
     "PowerLawFn",
     "TableFn",
-    "scale_fn",
     "ConstantScaling",
     "ProportionalScaling",
     "TableScaling",
@@ -68,24 +67,6 @@ class TableFn:
 
     def __call__(self, x: float) -> float:
         return float(np.interp(x, self.xs, self.ys))
-
-
-@dataclass(frozen=True)
-class ScaledFn:
-    """A function form multiplied by a constant factor."""
-
-    inner: object
-    factor: float
-
-    def __call__(self, x: float) -> float:
-        return self.factor * self.inner(x)
-
-
-def scale_fn(fn, factor: float):
-    """Multiply a function form by `factor`, collapsing nested scaling."""
-    if isinstance(fn, ScaledFn):
-        return ScaledFn(fn.inner, fn.factor * factor)
-    return ScaledFn(fn, factor)
 
 
 def is_nondecreasing(fn, lo: float, hi: float, points: int = 64) -> bool:

@@ -42,9 +42,6 @@ __all__ = [
     "ValidationReport",
     "validate_graph",
     "propagate_flows",
-    "node_power",
-    "link_power",
-    "total_power",
     "required_channels",
 ]
 
@@ -64,6 +61,15 @@ class SensorNode:
     constant_power_w: float = 0.0
 
     def __post_init__(self) -> None:
+        values = (
+            self.sample_size,
+            self.sample_rate,
+            self.relevant_fraction,
+            self.enabled_min_pileup,
+            self.constant_power_w,
+        )
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise ValueError(f"sensor {self.id!r}: numeric fields must be finite")
         if self.sample_size <= 0 or self.sample_rate <= 0:
             raise ValueError(f"sensor {self.id!r}: sample_size and sample_rate must be positive")
         if not 0.0 <= self.relevant_fraction <= 1.0:
@@ -85,6 +91,9 @@ class ProcessNode:
     constant_power_w: float = 0.0
 
     def __post_init__(self) -> None:
+        values = (self.energy_per_op, self.reduction_target, self.unit_power_w, self.constant_power_w)
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise ValueError(f"process {self.id!r}: numeric fields must be finite")
         if self.energy_per_op < 0:
             raise ValueError(f"process {self.id!r}: energy_per_op must be >= 0")
         if self.reduction_target is not None and self.reduction_target <= 1.0:
@@ -106,10 +115,10 @@ class CommLink:
     target: str
     energy_per_bit: float  # J/bit
     bandwidth_per_channel: float  # bit/s per channel
-    latency: float = 0.0  # carried metadata; no result depends on it
-    shoreline: float = 0.0  # mm/channel, carried metadata
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.energy_per_bit) and math.isfinite(self.bandwidth_per_channel)):
+            raise ValueError(f"link {self.id!r}: numeric fields must be finite")
         if self.energy_per_bit < 0:
             raise ValueError(f"link {self.id!r}: energy_per_bit must be >= 0")
         if self.bandwidth_per_channel <= 0:
@@ -414,20 +423,6 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
         output_true_rate=out_true,
         output_false_rate=out_false,
     )
-
-
-def node_power(graph: PipelineGraph, assignment: FlowAssignment, node_id: str) -> float:
-    graph.node(node_id)
-    return assignment.node_powers[node_id]
-
-
-def link_power(graph: PipelineGraph, assignment: FlowAssignment, link_id: str) -> float:
-    graph.link(link_id)
-    return assignment.link_powers[link_id]
-
-
-def total_power(graph: PipelineGraph, assignment: FlowAssignment) -> float:
-    return assignment.total_power
 
 
 def required_channels(link: CommLink, flow: MessageFlow) -> int:

@@ -15,6 +15,7 @@ worker processes, and never lets one failed point abort the rest.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -43,7 +44,6 @@ __all__ = [
     "apply_conditions",
     "apply_era",
     "apply_variant",
-    "propagate",
     "evaluate",
     "sweep",
     "ResultRow",
@@ -63,6 +63,16 @@ class ExperimentConditions:
     relevant_fraction: float | None = None
 
     def __post_init__(self) -> None:
+        values = (
+            self.pileup,
+            self.reference_pileup,
+            self.bunch_rate,
+            self.l1_reduction,
+            self.hlt_reduction,
+            self.relevant_fraction,
+        )
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise ValueError("condition values must be finite")
         if self.pileup <= 0 or self.reference_pileup <= 0:
             raise ValueError("pileup values must be positive")
         for r in (self.l1_reduction, self.hlt_reduction):
@@ -80,6 +90,8 @@ class TechnologyEra:
     scale_links: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.efficiency_factor):
+            raise ValueError("efficiency_factor must be finite")
         if self.efficiency_factor < 1.0:
             raise ValueError("efficiency_factor must be >= 1")
         if self.year < self.baseline_year:
@@ -95,6 +107,8 @@ class GpuHlt:
     unit_power_w: float = 400.0  # per-device draw of the replacement hardware
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.throughput_gain) and math.isfinite(self.unit_power_w)):
+            raise ValueError("throughput_gain and unit_power_w must be finite")
         if self.throughput_gain <= -1.0:
             raise ValueError("throughput_gain must exceed -1")
         if self.unit_power_w <= 0:
@@ -107,8 +121,8 @@ class L1Tracks:
     skill_factor: float = 1.4
 
     def __post_init__(self) -> None:
-        if self.skill_factor < 0:
-            raise ValueError("skill_factor must be >= 0")
+        if not math.isfinite(self.skill_factor) or self.skill_factor < 0:
+            raise ValueError("skill_factor must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -118,6 +132,8 @@ class SmartPixels:
     detector_power_w: float = 2300.0  # added on-detector processing draw
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.detector_power_w):
+            raise ValueError("detector_power_w must be finite")
         if not 0.0 <= self.data_reduction < 1.0:
             raise ValueError("data_reduction must lie in [0, 1)")
         if self.detector_power_w < 0:
@@ -280,13 +296,6 @@ def _with_l1_skill(graph: PipelineGraph, skill: float) -> PipelineGraph:
     )
 
 
-def propagate(graph: PipelineGraph, conditions: ExperimentConditions | None = None) -> FlowAssignment:
-    """Propagate flows, optionally under rescaled conditions."""
-    if conditions is not None:
-        graph = apply_conditions(graph, conditions)
-    return propagate_flows(graph)
-
-
 CSV_COLUMNS = (
     "pileup",
     "reduction_ratio",
@@ -400,6 +409,9 @@ def evaluate(
         output_rate_hz=score.output_rate_hz,
         productivity_per_kj=score.productivity_per_j * 1e3,
     )
+    for name, value in row.as_dict().items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ModelError(f"scenario result {name} is not finite ({value!r})")
     return EvaluationResult(graph=g, assignment=assignment, score=score, costs=costs, row=row)
 
 

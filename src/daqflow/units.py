@@ -3,7 +3,7 @@
 Every dimensioned config value is written as a string with an explicit unit
 suffix ("22 pJ/bit", "2.0 MB", "40 MHz") and parsed here into canonical SI
 semantics: sizes in bits, rates in Hz, power in W, bandwidth in bit/s,
-energies in J/bit or J/op, time in s, length in mm, momentum in GeV.
+energies in J/bit or J/op, momentum in GeV.
 Bare numbers are rejected for dimensioned fields so a magnitude typo cannot
 slip through as a silently-wrong scale.
 """
@@ -67,8 +67,6 @@ KINDS: dict[str, tuple[str, dict[str, float]]] = {
             **_prefixed("B/s", "|k|M|G|T", 8.0),
         },
     ),
-    "time": ("s", _prefixed("s", "n|µ|u|m|")),
-    "length": ("mm", {"mm": 1.0, "cm": 10.0, "m": 1000.0}),
     "momentum": ("GeV", {"MeV": 1e-3, "GeV": 1.0, "TeV": 1e3}),
 }
 
@@ -123,6 +121,6 @@ def parse_ratio(value: object) -> float:
                 num, den = text.split(":")
                 return float(Fraction(num.strip()) / Fraction(den.strip()))
             return float(Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise UnitError(f"malformed ratio {value!r}") from exc
     raise UnitError(f"expected a ratio, got {type(value).__name__}")

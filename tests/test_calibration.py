@@ -19,14 +19,12 @@ from daqflow.calibration import (
     MenuSpec,
     MomentumDistribution,
     TriggerPath,
-    build_hlt,
-    build_l1t,
     build_menu,
     fit_lambda,
     sample_scores,
     trigger_rate,
 )
-from daqflow.errors import ConfigError, FitInfeasibleError
+from daqflow.errors import FitInfeasibleError
 
 
 def _sigmoid_path(threshold=30.0, width=2.0, plateau=0.95, rate=10e3, input_rate=40e6):
@@ -161,17 +159,6 @@ def test_build_menu_fits_and_returns_model():
     assert model.skill_factor == 1.0
     assert model.positive.mean() >= model.negative.mean()
     assert model.positive.samples.size == 5000
-
-
-def test_stage_builders_enforce_modes():
-    summed = MenuSpec(name="a", mode="summed", paths=(_sigmoid_path(),), sample_count=2000)
-    oneat = MenuSpec(name="b", mode="one-at-a-time", paths=(_sigmoid_path(),), sample_count=2000)
-    assert build_l1t(summed, seed=0) is not None
-    assert build_hlt(oneat, seed=0) is not None
-    with pytest.raises(ConfigError):
-        build_l1t(oneat, seed=0)
-    with pytest.raises(ConfigError):
-        build_hlt(summed, seed=0)
 
 
 def test_spec_validation():

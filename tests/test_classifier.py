@@ -279,6 +279,9 @@ def test_validation_errors():
         solve_operating_point(model, _flow(1.0, 1.0), 1.0)
     with pytest.raises(DegeneratePopulationError):
         weighted_cdf(model, n_true=0.0, n_false=0.0, z=0.0)
+    for skill in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="skill_factor"):
+            apply_skill(model, skill)
 
 
 def test_uniform_family_support_and_solving():

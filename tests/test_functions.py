@@ -8,11 +8,9 @@ from daqflow.functions import (
     LinearFn,
     PowerLawFn,
     ProportionalScaling,
-    ScaledFn,
     TableFn,
     TableScaling,
     is_nondecreasing,
-    scale_fn,
 )
 
 
@@ -40,16 +38,6 @@ def test_table_fn_validation():
         TableFn(xs=(0.0, 0.0), ys=(1.0, 2.0))
     with pytest.raises(ValueError):
         TableFn(xs=(0.0, 1.0), ys=(1.0,))
-
-
-def test_scale_fn_collapses_nesting():
-    base = LinearFn(slope=2.0)
-    once = scale_fn(base, 3.0)
-    twice = scale_fn(once, 4.0)
-    assert isinstance(twice, ScaledFn)
-    assert twice.inner is base
-    assert twice.factor == 12.0
-    assert twice(5.0) == 120.0
 
 
 def test_is_nondecreasing():

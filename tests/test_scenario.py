@@ -1,21 +1,28 @@
 """Condition rescaling, eras, upgrade variants, and sweep behavior."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
+from daqflow import scenario
+from daqflow.calibration import EfficiencyCurve, TriggerPath
 from daqflow.config import parse_config
 from daqflow.errors import ModelError, ModelWarning
-from daqflow.functions import TableScaling
+from daqflow.functions import ConstantFn, TableScaling
 from daqflow.graph import (
     CommLink,
     OutputNode,
     PipelineGraph,
+    ProcessNode,
     SensorNode,
 )
 from daqflow.scenario import (
     CSV_COLUMNS,
     ExperimentConditions,
+    GpuHlt,
+    L1Tracks,
+    SmartPixels,
     TechnologyEra,
     VariantConfig,
     apply_conditions,
@@ -120,6 +127,26 @@ def test_era_validation():
         TechnologyEra(year=2024, efficiency_factor=2.0)
 
 
+def test_guards_reject_non_finite_values():
+    nan, inf = math.nan, math.inf
+    curve = EfficiencyCurve("x", threshold=30.0, width=2.0, plateau=0.9)
+    for build in (
+        lambda: ExperimentConditions(pileup=nan, reference_pileup=60.0),
+        lambda: ExperimentConditions(pileup=60.0, reference_pileup=60.0, bunch_rate=inf),
+        lambda: TechnologyEra(year=2030, efficiency_factor=nan),
+        lambda: GpuHlt(throughput_gain=inf),
+        lambda: L1Tracks(skill_factor=nan),
+        lambda: SmartPixels(detector_power_w=inf),
+        lambda: SensorNode("s", sample_size=1.0, sample_rate=inf),
+        lambda: ProcessNode("p", ConstantFn(0.0), nan, ConstantFn(0.0)),
+        lambda: CommLink("l", "a", "b", nan, 1e9),
+        lambda: EfficiencyCurve("x", threshold=inf, width=2.0, plateau=0.9),
+        lambda: TriggerPath("x", curve, empirical_rate=1.0, input_rate=inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 def test_gpu_variant_rescales_hlt_energy(load_fixture):
     cfg = load_fixture("cms_run3")
     base = cfg.build_graph(seed=20240)
@@ -207,6 +234,15 @@ def test_evaluate_row_mirrors_the_score(eval_fixture):
     assert res.row.productivity_per_kj == res.score.productivity_per_j * 1e3
     assert res.row.error == ""
     assert set(res.row.as_dict()) == set(CSV_COLUMNS)
+
+
+def test_evaluate_refuses_non_finite_rows(load_fixture, monkeypatch):
+    real = scenario.score_system
+    monkeypatch.setattr(
+        scenario, "score_system", lambda g, a: replace(real(g, a), total_power_w=math.inf)
+    )
+    with pytest.raises(ModelError, match="power_w is not finite"):
+        evaluate(load_fixture("cms_run3"))
 
 
 def test_skill_override_composes_with_the_variant(load_fixture):
