@@ -254,7 +254,7 @@ def sample_scores(
         negative, positive = _sample_one_at_a_time(paths, n, seed)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return EmpiricalScores(negative), EmpiricalScores(positive)
+    return EmpiricalScores.from_samples(negative), EmpiricalScores.from_samples(positive)
 
 
 def _sample_summed(paths, n: int, seed: int):

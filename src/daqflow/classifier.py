@@ -9,21 +9,23 @@ is inverted to place the decision threshold z_T so that a requested fraction
 of the incoming flow is rejected, and the four confusion entries follow from
 the per-population CDFs at z_T.
 
-Score distributions are either parametric (a named continuous family) or
-empirical (a sorted sample array).  Empirical CDFs are step functions, so a
-requested rejection fraction generally falls inside a step; the operating
-point solver keeps the deterministic part above z_T plus a fractional share
-of the probability atom at z_T, which makes the outgoing rate meet the
-reduction target exactly rather than at step granularity.
+Score distributions are either parametric (a named continuous family, in
+closed form) or empirical (the distinct sampled scores with the sample count
+at or below each).  Empirical CDFs are step functions, so a requested
+rejection fraction generally falls inside a step; the operating point solver
+keeps the deterministic part above z_T plus a fractional share of the
+probability atom at z_T, which makes the outgoing rate meet the reduction
+target exactly rather than at step granularity.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DegeneratePopulationError, OperatingPointError
 
@@ -40,7 +42,15 @@ __all__ = [
     "apply_skill",
 ]
 
-_FAMILIES = {"normal": stats.norm, "logistic": stats.logistic, "uniform": stats.uniform}
+
+# Standard form (loc 0, scale 1) of each family: CDF, quantile function, mean
+# and support, as scipy.stats defines them; ParametricScores evaluates them at
+# (z - loc) / scale and maps standard values back as x * scale + loc.
+_FAMILIES = {
+    "normal": (special.ndtr, special.ndtri, 0.0, (-math.inf, math.inf)),
+    "logistic": (special.expit, special.logit, 0.0, (-math.inf, math.inf)),
+    "uniform": (lambda x: 0.0 if x <= 0.0 else min(x, 1.0), lambda q: q, 0.5, (0.0, 1.0)),
+}
 
 # Empirical quantiles need enough samples to be stable.
 MIN_EMPIRICAL_SAMPLES = 1000
@@ -60,17 +70,16 @@ class ParametricScores:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    def _dist(self):
-        return _FAMILIES[self.family](loc=self.loc, scale=self.scale)
-
     def cdf(self, z: float) -> float:
-        return float(self._dist().cdf(z))
+        return float(_FAMILIES[self.family][0]((z - self.loc) / self.scale))
 
     def quantile(self, q: float) -> float:
-        return float(self._dist().ppf(q))
+        if not 0.0 <= q <= 1.0:
+            return math.nan
+        return float(_FAMILIES[self.family][1](q)) * self.scale + self.loc
 
     def mean(self) -> float:
-        return float(self._dist().mean())
+        return _FAMILIES[self.family][2] * self.scale + self.loc
 
     def atom_mass(self, z: float) -> float:
         return 0.0
@@ -79,59 +88,62 @@ class ParametricScores:
         return replace(self, loc=self.loc + delta)
 
     def support(self) -> tuple[float, float]:
-        lo, hi = self._dist().support()
-        return float(lo), float(hi)
+        lo, hi = _FAMILIES[self.family][3]
+        return lo * self.scale + self.loc, hi * self.scale + self.loc
 
 
+@dataclass(frozen=True)
 class EmpiricalScores:
-    """Sorted sample array with right-continuous step CDF."""
+    """Right-continuous step CDF of a sample: the sorted distinct values and,
+    for each, the number of samples at or below it."""
 
-    __slots__ = ("samples",)
+    values: tuple[float, ...]
+    cumulative: tuple[int, ...]
 
-    def __init__(self, samples: np.ndarray):
-        arr = np.sort(np.asarray(samples, dtype=float))
-        if arr.ndim != 1 or arr.size < MIN_EMPIRICAL_SAMPLES:
-            raise ValueError(f"empirical scores need >= {MIN_EMPIRICAL_SAMPLES} samples")
-        self.samples = arr
-        self.samples.setflags(write=False)
+    def __post_init__(self) -> None:
+        if len(self.values) != len(self.cumulative) or self.size < MIN_EMPIRICAL_SAMPLES:
+            raise ValueError(
+                f"empirical scores need one count per value and >= {MIN_EMPIRICAL_SAMPLES} samples"
+            )
+
+    @classmethod
+    def from_samples(cls, samples) -> "EmpiricalScores":
+        arr = np.asarray(samples, dtype=float)
+        if arr.ndim != 1 or not np.isfinite(arr).all():
+            raise ValueError("empirical scores need a 1-d array of finite samples")
+        values, counts = np.unique(arr, return_counts=True)
+        return cls(tuple(values.tolist()), tuple(np.cumsum(counts).tolist()))
+
+    @property
+    def size(self) -> int:
+        return self.cumulative[-1] if self.cumulative else 0
+
+    def count_at_or_below(self, z: float) -> int:
+        i = bisect_right(self.values, z)
+        return self.cumulative[i - 1] if i else 0
 
     def cdf(self, z: float) -> float:
-        return float(np.searchsorted(self.samples, z, side="right")) / self.samples.size
+        return self.count_at_or_below(z) / self.size
 
     def quantile(self, q: float) -> float:
-        # smallest sample value whose CDF reaches q
-        n = self.samples.size
-        k = max(0, min(n - 1, math.ceil(q * n) - 1))
-        return float(self.samples[k])
+        # value at sorted sample index ceil(q * n) - 1: the smallest whose CDF reaches q
+        k = max(0, min(self.size - 1, math.ceil(q * self.size) - 1))
+        return self.values[bisect_right(self.cumulative, k)]
 
     def mean(self) -> float:
-        return float(self.samples.mean())
+        counts = np.diff(self.cumulative, prepend=0)
+        return math.fsum(np.multiply(self.values, counts)) / self.size
 
     def atom_mass(self, z: float) -> float:
-        left = np.searchsorted(self.samples, z, side="left")
-        right = np.searchsorted(self.samples, z, side="right")
-        return float(right - left) / self.samples.size
+        i = bisect_left(self.values, z)
+        below = self.cumulative[i - 1] if i else 0
+        return (self.count_at_or_below(z) - below) / self.size
 
     def shift(self, delta: float) -> "EmpiricalScores":
-        return EmpiricalScores(self.samples + delta)
+        return replace(self, values=tuple(v + delta for v in self.values))
 
     def support(self) -> tuple[float, float]:
-        return float(self.samples[0]), float(self.samples[-1])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EmpiricalScores) and np.array_equal(self.samples, other.samples)
-
-    def __repr__(self) -> str:
-        return f"EmpiricalScores(n={self.samples.size})"
-
-    # pickling support for parallel sweeps
-    def __getstate__(self):
-        return np.asarray(self.samples)
-
-    def __setstate__(self, state):
-        arr = np.sort(np.asarray(state, dtype=float))
-        arr.setflags(write=False)
-        self.samples = arr
+        return self.values[0], self.values[-1]
 
 
 @dataclass(frozen=True)
@@ -143,6 +155,8 @@ class ClassifierModel:
     def __post_init__(self) -> None:
         if self.skill_factor < 0:
             raise ValueError("skill_factor must be >= 0")
+        if isinstance(self.positive, EmpiricalScores) != isinstance(self.negative, EmpiricalScores):
+            raise ValueError("scores must be both empirical or both parametric")
         if self.positive.mean() < self.negative.mean():
             raise ValueError("positive scores must not sit below negative scores")
 
@@ -154,14 +168,6 @@ class ConfusionMatrix:
     tn: float
     fn: float
     threshold: float
-
-    @property
-    def accepted(self) -> float:
-        return self.tp + self.fp
-
-    @property
-    def rejected(self) -> float:
-        return self.tn + self.fn
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,6 @@ def _support_union(model: ClassifierModel) -> tuple[float, float]:
     nlo, nhi = model.negative.support()
     return min(plo, nlo), max(phi, nhi)
 
-
 def solve_threshold(
     model: ClassifierModel,
     flow,
@@ -200,8 +205,9 @@ def solve_threshold(
     """Find z_T with weighted_cdf(z_T) equal to rejection_fraction.
 
     Continuous models: bisection to `tol` in score units, leaving the CDF
-    within 1e-6 of the target.  Empirical models: the smallest sample value
-    whose step CDF reaches the target (right-continuous convention).
+    within 1e-6 of the target.  Empirical models: the smallest score value
+    of either population whose weighted step CDF reaches the target
+    (right-continuous convention).
     """
     if not 0.0 < rejection_fraction < 1.0:
         raise OperatingPointError(
@@ -212,7 +218,7 @@ def solve_threshold(
     if total <= 0:
         raise DegeneratePopulationError("cannot place a threshold for an empty flow")
 
-    if isinstance(model.positive, EmpiricalScores) or isinstance(model.negative, EmpiricalScores):
+    if isinstance(model.positive, EmpiricalScores):
         return _empirical_quantile(model, n_true, n_false, rejection_fraction)
 
     lo, hi = _support_union(model)
@@ -254,30 +260,15 @@ def solve_threshold(
 def _empirical_quantile(
     model: ClassifierModel, n_true: float, n_false: float, rejection_fraction: float
 ) -> float:
-    candidates = []
-    for dist in (model.positive, model.negative):
-        if isinstance(dist, EmpiricalScores):
-            candidates.append(dist.samples)
-        else:  # mixed parametric/empirical model: sample the parametric side densely
-            qs = (np.arange(1, 4097) - 0.5) / 4096
-            candidates.append(np.asarray([dist.quantile(float(q)) for q in qs]))
-    support = np.unique(np.concatenate(candidates))
-    total = n_true + n_false
-    cdf = (
-        n_true * np.searchsorted(model.positive.samples, support, side="right") / model.positive.samples.size
-        if isinstance(model.positive, EmpiricalScores)
-        else n_true * np.asarray([model.positive.cdf(float(z)) for z in support])
-    )
-    cdf = cdf + (
-        n_false * np.searchsorted(model.negative.samples, support, side="right") / model.negative.samples.size
-        if isinstance(model.negative, EmpiricalScores)
-        else n_false * np.asarray([model.negative.cdf(float(z)) for z in support])
-    )
-    cdf /= total
-    idx = int(np.searchsorted(cdf, rejection_fraction, side="left"))
-    if idx >= support.size:
-        idx = support.size - 1
-    return float(support[idx])
+    pos, neg = model.positive, model.negative
+
+    def weighted(z: float) -> float:
+        below = n_true * pos.count_at_or_below(z) / pos.size
+        return (below + n_false * neg.count_at_or_below(z) / neg.size) / (n_true + n_false)
+
+    support = sorted(set(pos.values).union(neg.values))
+    idx = bisect_left(support, rejection_fraction, key=weighted)
+    return support[min(idx, len(support) - 1)]
 
 
 def confusion_at_threshold(model: ClassifierModel, flow, z_t: float) -> ConfusionMatrix:

@@ -8,6 +8,7 @@ picklable for parallel sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,10 @@ class PowerLawFn:
     exponent: float
     value_at_reference: float
     reference: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.reference) and self.reference > 0):
+            raise ValueError("reference must be finite and positive")
 
     def __call__(self, x: float) -> float:
         return self.value_at_reference * (x / self.reference) ** self.exponent

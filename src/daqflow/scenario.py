@@ -75,6 +75,8 @@ class ExperimentConditions:
             raise ValueError("condition values must be finite")
         if self.pileup <= 0 or self.reference_pileup <= 0:
             raise ValueError("pileup values must be positive")
+        if self.bunch_rate is not None and self.bunch_rate <= 0:
+            raise ValueError("bunch_rate must be positive")
         for r in (self.l1_reduction, self.hlt_reduction):
             if r is not None and r <= 1.0:
                 raise ValueError("reduction targets must exceed 1")

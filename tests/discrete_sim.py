@@ -50,7 +50,9 @@ def _draw_scores(dist, rng: np.random.Generator, n: int) -> np.ndarray:
             size=n, random_state=rng
         )
     if isinstance(dist, EmpiricalScores):
-        return rng.choice(dist.samples, size=n, replace=True)
+        # the sorted sample array the atoms stand for
+        samples = np.repeat(dist.values, np.diff(dist.cumulative, prepend=0))
+        return rng.choice(samples, size=n, replace=True)
     raise TypeError(f"cannot sample {type(dist).__name__}")
 
 

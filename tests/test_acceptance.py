@@ -168,7 +168,7 @@ def test_criterion_6_spectrum_fit_round_trip_and_determinism():
     first = sample_scores(paths, "summed", n=20_000, seed=20240)
     second = sample_scores(paths, "summed", n=20_000, seed=20240)
     for a, b, side in zip(first, second, ("negative", "positive")):
-        assert np.array_equal(a.samples, b.samples), f"{side} samples differ across runs"
+        assert a == b, f"{side} scores differ across runs"
 
 
 def test_criterion_7_structural_property_suite(eval_fixture, sweep_rows_pair):

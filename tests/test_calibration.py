@@ -118,8 +118,8 @@ def test_single_path_modes_coincide_exactly():
     path = replace(_sigmoid_path(), momentum=MomentumDistribution(0.08))
     neg_a, pos_a = sample_scores([path], "summed", n=5000, seed=5)
     neg_b, pos_b = sample_scores([path], "one-at-a-time", n=5000, seed=5)
-    assert np.array_equal(neg_a.samples, neg_b.samples)
-    assert np.array_equal(pos_a.samples, pos_b.samples)
+    assert neg_a == neg_b
+    assert pos_a == pos_b
 
 
 def test_sampling_is_bit_identical_per_seed():
@@ -129,11 +129,11 @@ def test_sampling_is_bit_identical_per_seed():
     ]
     neg_a, pos_a = sample_scores(paths, "summed", n=20_000, seed=20240)
     neg_b, pos_b = sample_scores(paths, "summed", n=20_000, seed=20240)
-    assert np.array_equal(neg_a.samples, neg_b.samples)
-    assert np.array_equal(pos_a.samples, pos_b.samples)
+    assert neg_a == neg_b
+    assert pos_a == pos_b
 
     neg_c, _ = sample_scores(paths, "summed", n=20_000, seed=20241)
-    assert not np.array_equal(neg_a.samples, neg_c.samples)
+    assert neg_a != neg_c
 
 
 def test_summed_scores_are_path_outcome_sums():
@@ -142,8 +142,8 @@ def test_summed_scores_are_path_outcome_sums():
         replace(_sigmoid_path(threshold=38.0, width=3.8), momentum=MomentumDistribution(0.1)),
     ]
     negative, positive = sample_scores(paths, "summed", n=5000, seed=1)
-    assert set(np.unique(negative.samples)) <= {0.0, 1.0, 2.0}
-    assert set(np.unique(positive.samples)) <= {0.0, 1.0, 2.0}
+    assert set(negative.values) <= {0.0, 1.0, 2.0}
+    assert set(positive.values) <= {0.0, 1.0, 2.0}
     # positive events condition on at least one object above threshold
     assert positive.mean() > negative.mean()
 
@@ -158,7 +158,7 @@ def test_build_menu_fits_and_returns_model():
     model = build_menu(menu, seed=3)
     assert model.skill_factor == 1.0
     assert model.positive.mean() >= model.negative.mean()
-    assert model.positive.samples.size == 5000
+    assert model.positive.size == 5000
 
 
 def test_spec_validation():

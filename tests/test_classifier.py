@@ -5,11 +5,15 @@ quadrature of the mixture density, hand bisection of the analytic CDF, and
 direct Monte Carlo — never the module's own arithmetic.
 """
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from daqflow.classifier import (
     ClassifierModel,
@@ -207,8 +211,8 @@ def test_apply_skill_scales_separation_and_composes():
 def test_skill_monotonically_improves_tp():
     rng = np.random.default_rng(7)
     base = ClassifierModel(
-        positive=EmpiricalScores(rng.normal(1.0, 1.0, size=20_000)),
-        negative=EmpiricalScores(rng.normal(0.0, 1.0, size=20_000)),
+        positive=EmpiricalScores.from_samples(rng.normal(1.0, 1.0, size=20_000)),
+        negative=EmpiricalScores.from_samples(rng.normal(0.0, 1.0, size=20_000)),
     )
     flow = _flow(2e4, 1.8e5)
     tps = []
@@ -220,7 +224,7 @@ def test_skill_monotonically_improves_tp():
 
 def test_empirical_cdf_quantile_and_atoms():
     samples = np.repeat(np.arange(10.0), 200)  # 2000 samples, heavy atoms
-    dist = EmpiricalScores(samples)
+    dist = EmpiricalScores.from_samples(samples)
     assert dist.cdf(0.0) == pytest.approx(0.1)  # right-continuous steps
     assert dist.cdf(-0.5) == 0.0
     assert dist.cdf(9.0) == 1.0
@@ -237,8 +241,8 @@ def test_empirical_cdf_quantile_and_atoms():
 def test_empirical_operating_point_hits_rate_exactly():
     rng = np.random.default_rng(11)
     model = ClassifierModel(
-        positive=EmpiricalScores(rng.integers(0, 5, size=5000).astype(float)),
-        negative=EmpiricalScores(rng.integers(0, 4, size=5000).astype(float)),
+        positive=EmpiricalScores.from_samples(rng.integers(0, 5, size=5000).astype(float)),
+        negative=EmpiricalScores.from_samples(rng.integers(0, 4, size=5000).astype(float)),
     )
     flow = _flow(1e4, 4e6)
     op = solve_operating_point(model, flow, reduction_target=400.0)
@@ -251,12 +255,93 @@ def test_empirical_operating_point_hits_rate_exactly():
 
 
 def test_empirical_scores_are_immutable_and_sorted():
-    dist = EmpiricalScores(np.linspace(5.0, 0.0, 1500))
-    assert dist.samples[0] == 0.0 and dist.samples[-1] == 5.0
+    dist = EmpiricalScores.from_samples(np.linspace(5.0, 0.0, 1500))
+    assert dist.support() == (0.0, 5.0)
+    assert list(dist.values) == sorted(dist.values) and len(dist.values) == 1500
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.values = ()
+    ties = EmpiricalScores.from_samples(np.tile([2.0, 0.0, 2.0, 1.0], 500))
+    assert ties == EmpiricalScores(values=(0.0, 1.0, 2.0), cumulative=(500, 1000, 2000))
+    assert pickle.loads(pickle.dumps(ties)) == ties
     with pytest.raises(ValueError):
-        dist.samples[0] = -1.0
+        EmpiricalScores.from_samples(np.zeros(MIN_EMPIRICAL_SAMPLES - 1))
     with pytest.raises(ValueError):
-        EmpiricalScores(np.zeros(MIN_EMPIRICAL_SAMPLES - 1))
+        EmpiricalScores.from_samples(np.append(np.zeros(2000), math.nan))
+    with pytest.raises(ValueError):
+        EmpiricalScores(values=(0.0, 1.0), cumulative=(2000,))
+
+
+# Sample arrays as a seeded draw: integer scores with heavy ties (the
+# calibrated menus' case) or continuous normal scores, optionally shifted.
+_tied = st.tuples(
+    st.just("tied"), st.integers(0, 2**32 - 1), st.integers(1000, 4000), st.integers(1, 6)
+)
+_continuous = st.tuples(
+    st.just("continuous"), st.integers(0, 2**32 - 1), st.integers(1000, 4000),
+    st.floats(1e-3, 1e3),
+)
+
+
+def _draw(kind, seed, n, spread):
+    rng = np.random.default_rng(seed)
+    if kind == "tied":
+        return rng.integers(0, spread + 1, size=n).astype(float)
+    return rng.normal(0.0, spread, size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.one_of(_tied, _continuous),
+    shift=st.none() | st.floats(-1e3, 1e3, allow_nan=False),
+    qs=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_empirical_atoms_match_the_sorted_sample_array(case, shift, qs):
+    samples = _draw(*case)
+    dist = EmpiricalScores.from_samples(samples)
+    ref = np.sort(samples)
+    if shift is not None:
+        dist = dist.shift(shift)
+        ref = np.sort(ref + shift)
+    n = ref.size
+    assert dist.size == n
+
+    atoms = ref[:: max(1, n // 50)]
+    probes = np.concatenate([atoms, atoms + 1e-9, [ref[0] - 1.0, ref[-1], ref[-1] + 1.0]])
+    for z in probes.tolist():
+        right = int(np.searchsorted(ref, z, side="right"))
+        left = int(np.searchsorted(ref, z, side="left"))
+        assert dist.cdf(z) == right / n
+        assert dist.atom_mass(z) == (right - left) / n
+    for q in qs + [0.0, 1.0, 1 / n, 0.5, (n - 1) / n]:
+        assert dist.quantile(q) == ref[max(0, min(n - 1, math.ceil(q * n) - 1))]
+    assert dist.support() == (ref[0], ref[-1])
+    assert dist.mean() == pytest.approx(float(ref.mean()), rel=1e-12, abs=1e-12)
+
+
+_SCIPY = {"normal": stats.norm, "logistic": stats.logistic, "uniform": stats.uniform}
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("family", sorted(_SCIPY))
+def test_parametric_closed_forms_equal_scipy_stats_bitwise(family):
+    rng = np.random.default_rng(20241017)
+    for _ in range(200):
+        loc = float(rng.normal(0.0, 3.0))
+        scale = float(rng.uniform(0.05, 5.0))
+        ours = ParametricScores(family, loc=loc, scale=scale)
+        ref = _SCIPY[family](loc=loc, scale=scale)
+        zs = [loc, loc + scale, -math.inf, math.inf, math.nan]
+        zs += rng.normal(loc, 3 * scale, 8).tolist()
+        for z in zs:
+            assert _bits(ours.cdf(z)) == _bits(ref.cdf(z)), (z, loc, scale)
+        qs = [0.0, 1.0, -0.1, 1.1, 1e-300, 1.0 - 1e-16] + rng.uniform(0.0, 1.0, 8).tolist()
+        for q in qs:
+            assert _bits(ours.quantile(q)) == _bits(ref.ppf(q)), (q, loc, scale)
+        assert _bits(ours.mean()) == _bits(ref.mean())
+        assert [_bits(x) for x in ours.support()] == [_bits(x) for x in ref.support()]
 
 
 def test_validation_errors():
@@ -267,6 +352,11 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="below"):
         ClassifierModel(
             positive=ParametricScores("normal", loc=-1.0, scale=1.0),
+            negative=ParametricScores("normal", loc=0.0, scale=1.0),
+        )
+    with pytest.raises(ValueError, match="both empirical or both parametric"):
+        ClassifierModel(
+            positive=EmpiricalScores.from_samples(np.ones(2000)),
             negative=ParametricScores("normal", loc=0.0, scale=1.0),
         )
     model = ClassifierModel(

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,30 @@ def test_validate_rejects_broken_topology(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "invalid graph" in err and "ghost" in err
+
+
+def test_zero_power_law_reference_is_a_located_error(tmp_path, capsys):
+    # graph validation evaluates complexity at x = 0, which divides by the reference
+    good = 'reference: "16000000 bit"'
+    lines = (CONFIG_DIR / "cms_base.cfg").read_text().splitlines()
+    [lineno] = [i for i, line in enumerate(lines, 1) if good in line]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n".join(lines).replace(good, 'reference: "0 bit"') + "\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.cfg:{lineno}" in err and "reference must be finite and positive" in err
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # score families are closed forms over scipy.special; importing
+    # scipy.stats would add about half a second to every command's start-up
+    src = str(Path(daqflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, daqflow.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):

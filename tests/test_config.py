@@ -112,22 +112,26 @@ def test_stage_roles_enforce_menu_modes():
 
 
 @pytest.mark.parametrize(
-    "override, field",
+    "override, problem",
     [
-        ("conditions: {pileup: .nan}", "conditions.pileup"),
-        ("era: {efficiency_factor: .nan}", "era.efficiency_factor"),
-        ('conditions: {bunch_rate: "1e999 Hz"}', "conditions.bunch_rate"),
-        ("variants: {l1_tracks: {enabled: true, skill_factor: .nan}}", "variants.l1_tracks.skill_factor"),
+        ("conditions: {pileup: .nan}", "conditions.pileup: must be finite"),
+        ("era: {efficiency_factor: .nan}", "era.efficiency_factor: must be finite"),
+        ('conditions: {bunch_rate: "1e999 Hz"}', "conditions.bunch_rate: must be finite"),
+        (
+            "variants: {l1_tracks: {enabled: true, skill_factor: .nan}}",
+            "variants.l1_tracks.skill_factor: must be finite",
+        ),
+        ('conditions: {bunch_rate: "0 Hz"}', "conditions: bunch_rate must be positive"),
     ],
 )
-def test_non_finite_inputs_are_located_errors(tmp_path, override, field):
+def test_non_finite_inputs_are_located_errors(tmp_path, override, problem):
     path = tmp_path / "bad.cfg"
     path.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\n{override}\n")
     with pytest.raises(ConfigError) as ei:
         load_config(path)
     [(loc, msg)] = ei.value.locations
     assert loc == "bad.cfg:2"
-    assert msg.startswith(f"{field}: must be finite")
+    assert msg.startswith(problem)
 
 
 def test_ratios_accept_fractions_and_colons():
