@@ -33,10 +33,10 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import expit
 
-from .classifier import ClassifierModel, EmpiricalScores
+from .classifier import MIN_EMPIRICAL_SAMPLES, ClassifierModel, EmpiricalScores
 from .errors import FitInfeasibleError, QuadratureError
 
 __all__ = [
@@ -94,10 +94,6 @@ class MomentumDistribution:
         if self.lam <= 0:
             raise ValueError("lam must be positive")
 
-    def pdf(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.where(p > 0, self.lam * np.exp(-self.lam * p), 0.0)
-
 
 @dataclass(frozen=True)
 class TriggerPath:
@@ -130,6 +126,28 @@ class MenuSpec:
             raise ValueError("menu needs at least one path")
 
 
+def _integrand(curve: EfficiencyCurve, lam: float):
+    """eff(u / lam) * exp(-u) for one float u, in plain `math`.
+
+    Equal to curve(u / lam) * exp(-u) to a few ulps: the logistic takes the
+    branch whose exponential cannot overflow, so arguments far below the
+    turn-on give a tiny positive value instead of an OverflowError.
+    """
+    threshold, width, plateau = curve.threshold, curve.width, curve.plateau
+    exp = math.exp  # bound once: quad calls g hundreds of times per rate
+
+    def g(u: float) -> float:
+        x = (u / lam - threshold) / width
+        if x >= 0.0:
+            eff = 1.0 / (1.0 + exp(-x))
+        else:
+            e = exp(x)
+            eff = e / (1.0 + e)
+        return plateau * eff * exp(-u)
+
+    return g
+
+
 def trigger_rate(path: TriggerPath, lam: float) -> float:
     """input_rate * integral of eff(p) * lam * exp(-lam p) over p > 0."""
     if lam <= 0:
@@ -144,9 +162,7 @@ def trigger_rate(path: TriggerPath, lam: float) -> float:
     # an edge.  Below the turn-on the integrand is negligible past u = 60
     # (bounded by exp(-60)); that remainder goes into the error budget.
     u_t = lam * curve.threshold
-
-    def g(u: float) -> float:
-        return float(curve(u / lam)) * math.exp(-u)
+    g = _integrand(curve, lam)
 
     cut = min(u_t, 60.0)
     with warnings.catch_warnings():
@@ -168,12 +184,15 @@ def trigger_rate(path: TriggerPath, lam: float) -> float:
     return path.input_rate * total
 
 
-def fit_lambda(path: TriggerPath, *, max_iter: int = 200) -> MomentumDistribution:
+def fit_lambda(path: TriggerPath) -> MomentumDistribution:
     """Invert the monotone lam -> rate map onto the measured path rate.
 
-    The rate is strictly decreasing in lam, so bracketed bisection on
-    FIT_BRACKET converges to the unique solution; iteration stops when the
-    modeled rate is within FIT_RATE_RTOL of the target.
+    The rate is strictly decreasing in lam, so once the target lies between
+    the rates at the ends of FIT_BRACKET, Brent's method (scipy brentq) finds
+    the unique root of log(rate / target) to 1e-10 relative in lam.  On the
+    log scale a sharp turn-on, rate ~ exp(-lam * threshold), is linear in
+    lam, so the interpolation steps land close from the first iteration.
+    The fitted rate must then be within FIT_RATE_RTOL of the target.
     """
     target = path.empirical_rate
     lo, hi = FIT_BRACKET
@@ -184,23 +203,21 @@ def fit_lambda(path: TriggerPath, *, max_iter: int = 200) -> MomentumDistributio
             f"path {path.object_name!r}: target rate {target:.6g} Hz outside the attainable "
             f"range [{rate_hi:.6g}, {rate_lo:.6g}] Hz for lam in {FIT_BRACKET} 1/GeV"
         )
-    # Bisect down to a tight relative interval in lam itself: near-flat
-    # stretches of the rate curve would otherwise leave lam poorly pinned
-    # even when the rate residual looks small.
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 + 1e-8 * mid:
-            break
-        if trigger_rate(path, mid) > target:  # spectrum too hard, push lam up
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    log_target = math.log(target)
+
+    def residual(lam: float) -> float:
+        # a rate that underflows to 0 (hard spectra far above a high
+        # threshold) counts as the smallest positive float, not log(0)
+        return math.log(max(trigger_rate(path, lam), math.ulp(0.0))) - log_target
+
+    lam, result = optimize.brentq(
+        residual, lo, hi, xtol=1e-12, rtol=1e-10, full_output=True, disp=False
+    )
     rate = trigger_rate(path, lam)
-    if abs(rate - target) > FIT_RATE_RTOL * target:
+    if not result.converged or abs(rate - target) > FIT_RATE_RTOL * target:
         raise FitInfeasibleError(
-            f"path {path.object_name!r}: bisection stalled at lam={lam:.9g} "
-            f"(rate {rate:.6g} Hz vs target {target:.6g} Hz)"
+            f"path {path.object_name!r}: Brent's method stopped at lam={lam:.9g} "
+            f"({result.flag}; rate {rate:.6g} Hz vs target {target:.6g} Hz)"
         )
     return MomentumDistribution(lam)
 
@@ -243,8 +260,8 @@ def sample_scores(
     detection outcomes, then the positive-side blocks in the same order.
     """
     paths = tuple(paths)
-    if n < 1000:
-        raise ValueError("need n >= 1000 samples")
+    if n < MIN_EMPIRICAL_SAMPLES:
+        raise ValueError(f"need n >= {MIN_EMPIRICAL_SAMPLES} samples")
     for path in paths:
         if path.momentum is None:
             raise ValueError(f"path {path.object_name!r} has no fitted momentum distribution")

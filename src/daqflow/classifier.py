@@ -67,8 +67,10 @@ class ParametricScores:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown score family {self.family!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not math.isfinite(self.loc):
+            raise ValueError("loc must be finite")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
 
     def cdf(self, z: float) -> float:
         return float(_FAMILIES[self.family][0]((z - self.loc) / self.scale))

@@ -30,6 +30,7 @@ from pathlib import Path
 import yaml
 
 from .calibration import DEFAULT_SAMPLE_COUNT, EfficiencyCurve, MenuSpec, TriggerPath, build_menu
+from .classifier import MIN_EMPIRICAL_SAMPLES
 from .errors import ConfigError
 from .functions import (
     ConstantFn,
@@ -69,13 +70,12 @@ SCHEMA_VERSION = 1
 _LOC = "__loc__"
 
 
-class _TaggedLoader(yaml.SafeLoader):
-    """SafeLoader that stamps every mapping with its source line."""
+class _TaggedLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader (libyaml's when PyYAML has it) that stamps every mapping with its line."""
 
 
-def _tagged_mapping(loader: _TaggedLoader, node, deep=False):
-    loader.flatten_mapping(node)
-    mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
+def _tagged_mapping(loader, node, deep=False):
+    mapping = yaml.constructor.SafeConstructor.construct_mapping(loader, node, deep=deep)
     mapping[_LOC] = node.start_mark.line + 1
     return mapping
 
@@ -277,8 +277,11 @@ _PATH = _Table(_trigger_path, (
 # the menu's name is its key under calibration.menus, passed in by the caller
 _MENU = _Table(MenuSpec, (
     _Field("mode", "mode", "str", required=True),
-    # the sampler itself refuses fewer than 1000 samples; catch that here with a location
-    _Field("sample_count", "sample_count", "int", default=DEFAULT_SAMPLE_COUNT, minimum=1000),
+    # the sampler itself refuses fewer samples; catch that here with a location
+    _Field(
+        "sample_count", "sample_count", "int",
+        default=DEFAULT_SAMPLE_COUNT, minimum=MIN_EMPIRICAL_SAMPLES,
+    ),
     _Field("paths", "paths", _ListOf(_PATH), required=True),
 ))
 
@@ -377,9 +380,32 @@ def _read_scalar(kind: str, v):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"expected an integer, got {v!r}")
         return v
+    return _number(v)
+
+
+def _number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"expected a number, got {v!r}")
+        raise ValueError(f"expected a number, got {v!r}{_exponent_hint(v)}")
     return float(v)
+
+
+def _exponent_hint(v) -> str:
+    """Advice for a number that YAML 1.1 resolved to a string, such as 1e2."""
+    if not isinstance(v, str) or "e" not in v.lower():
+        return ""
+    try:
+        float(v)
+    except ValueError:
+        return ""
+    mantissa, exponent = v.strip().lower().split("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    if exponent[0] not in "+-":
+        exponent = "+" + exponent
+    return (
+        "; YAML reads an exponent number as text unless it has a decimal point and a "
+        f"signed exponent: write {mantissa}e{exponent}"
+    )
 
 
 def _read_value(ctx: _Ctx, kind, v, loc: str, where: str):
@@ -541,11 +567,6 @@ def _parse_sweep(ctx: _Ctx, mapping: dict | None) -> SweepAxes | None:
                 ctx.error(_loc(mapping), f"sweep.{key}: {exc}")
         return tuple(out) if out else (None,)
 
-    def as_float(v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"expected a number, got {v!r}")
-        return float(v)
-
     def as_variant(v):
         if not isinstance(v, str):
             raise ValueError(f"expected a variant name string, got {v!r}")
@@ -560,9 +581,9 @@ def _parse_sweep(ctx: _Ctx, mapping: dict | None) -> SweepAxes | None:
         return entry
 
     return SweepAxes(
-        pileup=axis("pileup", as_float),
+        pileup=axis("pileup", _number),
         reduction=axis("reduction", parse_ratio),
-        skill=axis("skill", as_float),
+        skill=axis("skill", _number),
         variants=axis("variants", as_variant),
     )
 

@@ -7,14 +7,21 @@ its reference value.
 """
 
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expit
 
+import daqflow
+from daqflow import calibration
 from daqflow.calibration import (
+    FIT_RATE_RTOL,
     EfficiencyCurve,
     MenuSpec,
     MomentumDistribution,
@@ -24,7 +31,10 @@ from daqflow.calibration import (
     sample_scores,
     trigger_rate,
 )
+from daqflow.config import load_config
 from daqflow.errors import FitInfeasibleError
+
+CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
 
 
 def _sigmoid_path(threshold=30.0, width=2.0, plateau=0.95, rate=10e3, input_rate=40e6):
@@ -90,6 +100,91 @@ def test_fit_rejects_unreachable_targets():
     path = _sigmoid_path(rate=0.99 * 40e6)  # above the plateau ceiling
     with pytest.raises(FitInfeasibleError, match="attainable"):
         fit_lambda(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    threshold=st.floats(3.0, 250.0),
+    width_frac=st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
+    plateau=st.floats(0.05, 1.0),
+    log10_frac=st.floats(-12.0, 0.0),
+)
+def test_fit_either_hits_the_target_or_reports_infeasible(
+    threshold, width_frac, plateau, log10_frac
+):
+    input_rate = 40e6
+    path = _sigmoid_path(
+        threshold, threshold * width_frac, plateau, input_rate * 10.0**log10_frac, input_rate
+    )
+    try:
+        lam = fit_lambda(path).lam
+    except FitInfeasibleError:
+        return
+    assert abs(trigger_rate(path, lam) / path.empirical_rate - 1.0) <= FIT_RATE_RTOL
+
+
+@pytest.mark.parametrize("width", [0.0, 0.1])
+def test_fit_survives_a_rate_that_underflows_at_the_bracket_end(width):
+    # at lam = 10/GeV a 200 GeV path's rate is exp(-2000): exactly 0.0
+    path = _sigmoid_path(threshold=200.0, width=width, plateau=0.9, rate=10.0)
+    assert trigger_rate(path, calibration.FIT_BRACKET[1]) == 0.0
+    lam = fit_lambda(path).lam
+    assert trigger_rate(path, lam) == pytest.approx(10.0, rel=FIT_RATE_RTOL)
+    if width == 0.0:
+        assert lam == pytest.approx(math.log(40e6 * 0.9 / 10.0) / 200.0, rel=1e-9)
+
+
+def _bundled_paths():
+    paths = {}
+    for cfg_path in sorted(CONFIG_DIR.glob("cms_*.cfg")):
+        cfg = load_config(cfg_path)
+        for menu in cfg.menus.values():
+            for path in menu.paths:
+                paths.setdefault(repr(path), path)
+    return list(paths.values())
+
+
+def test_fit_needs_few_rate_evaluations(monkeypatch):
+    calls = 0
+    rate = calibration.trigger_rate
+
+    def counted(path, lam):
+        nonlocal calls
+        calls += 1
+        return rate(path, lam)
+
+    # fit_lambda resolves trigger_rate through the module global, as tracing relies on
+    monkeypatch.setattr(calibration, "trigger_rate", counted)
+    paths = _bundled_paths()
+    assert len(paths) == 10
+    for path in paths:
+        calls = 0
+        fit_lambda(path)
+        assert 0 < calls <= 20, (path.object_name, calls)
+
+
+def test_scalar_integrand_equals_the_vectorised_curve():
+    rng = np.random.default_rng(7)
+    checked = far_below = 0
+    for i in range(200):
+        threshold = rng.uniform(3.0, 250.0)
+        # odd curves are narrow enough that x = -700 still has p >= 0
+        width = rng.uniform(0.001, threshold / 700.0) if i % 2 else rng.uniform(0.01, 50.0)
+        curve = EfficiencyCurve("obj", threshold, width, plateau=rng.uniform(0.05, 1.0))
+        # lam <= 0.01/GeV keeps every value compared here a normal float
+        lam = 10.0 ** rng.uniform(-4.0, -2.0)
+        g = calibration._integrand(curve, lam)
+        # logistic arguments across [-700, 700], both ends included
+        xs = np.concatenate([[-700.0, 700.0, 0.0], rng.uniform(-700.0, 700.0, 20)])
+        ps = curve.threshold + curve.width * xs
+        far_below += ps[0] >= 0.0
+        for u in lam * ps[ps >= 0.0]:
+            u = float(u)
+            expected = float(curve(u / lam)) * math.exp(-u)
+            assert expected >= sys.float_info.min
+            assert math.isclose(g(u), expected, rel_tol=1e-15, abs_tol=0.0), (curve, lam, u)
+            checked += 1
+    assert checked > 1000 and far_below >= 100
 
 
 def test_trigger_rate_rejects_nonpositive_lam():

@@ -349,6 +349,10 @@ def test_validation_errors():
         ParametricScores("gamma", loc=0.0, scale=1.0)
     with pytest.raises(ValueError, match="scale"):
         ParametricScores("normal", loc=0.0, scale=0.0)
+    with pytest.raises(ValueError, match="loc must be finite"):
+        ParametricScores("normal", loc=math.nan, scale=1.0)
+    with pytest.raises(ValueError, match="scale must be finite"):
+        ParametricScores("normal", loc=0.0, scale=math.inf)
     with pytest.raises(ValueError, match="below"):
         ClassifierModel(
             positive=ParametricScores("normal", loc=-1.0, scale=1.0),

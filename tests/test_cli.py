@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import daqflow
 from daqflow.cli import COSTS_COLUMNS, main
@@ -86,6 +87,23 @@ def test_zero_power_law_reference_is_a_located_error(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"bad.cfg:{lineno}" in err and "reference must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
+    "written, advised", [("1e2", "1.0e+2"), ("1.5e3", "1.5e+3"), ("4E-2", "4.0e-2")]
+)
+def test_exponent_numbers_read_as_text_are_located_errors_with_advice(
+    tmp_path, capsys, written, advised
+):
+    # YAML 1.1 reads an exponent number as a float only with a decimal point
+    # and a signed exponent; the advised spelling must read as the same float
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\nconditions: {{pileup: {written}}}\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.cfg:2" in err and f"expected a number, got '{written}'" in err
+    assert f"write {advised}" in err
+    assert yaml.safe_load(f"x: {advised}") == {"x": float(written)}
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 import daqflow
+from daqflow import config
 from daqflow.classifier import EmpiricalScores
 from daqflow.config import SCHEMA_VERSION, load_config, parse_config, serialize_config
 from daqflow.errors import ConfigError
@@ -132,6 +133,45 @@ def test_non_finite_inputs_are_located_errors(tmp_path, override, problem):
     [(loc, msg)] = ei.value.locations
     assert loc == "bad.cfg:2"
     assert msg.startswith(problem)
+
+
+class _PureTaggedLoader(yaml.SafeLoader):
+    """The tagged loader as built when PyYAML has no libyaml."""
+
+
+_PureTaggedLoader.add_constructor(
+    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, config._tagged_mapping
+)
+
+_needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
+)
+
+
+@_needs_libyaml
+def test_tagged_loader_uses_libyaml_when_present():
+    assert issubclass(config._TaggedLoader, yaml.CSafeLoader)
+
+
+@_needs_libyaml
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_both_loaders_read_the_same_dicts_and_lines(name, monkeypatch):
+    text = (CONFIG_DIR / name).read_text()
+    fast = config._load_yaml(text, name)
+    monkeypatch.setattr(config, "_TaggedLoader", _PureTaggedLoader)
+    # equal dicts include equal "__loc__" line stamps on every mapping
+    assert config._load_yaml(text, name) == fast
+    assert fast[config._LOC].startswith(f"{name}:")
+
+
+@pytest.mark.parametrize(
+    "loader", [pytest.param("libyaml", marks=_needs_libyaml), "pure"]
+)
+def test_yaml_syntax_errors_name_a_line_under_each_loader(loader, monkeypatch):
+    if loader == "pure":
+        monkeypatch.setattr(config, "_TaggedLoader", _PureTaggedLoader)
+    with pytest.raises(ConfigError, match=r"(?s)cannot parse bad\.cfg: .*line 2, column \d+"):
+        config._load_yaml("nodes: [1, 2\nlinks: 3\n", "bad.cfg")
 
 
 def test_ratios_accept_fractions_and_colons():
