@@ -27,13 +27,13 @@ path iteration order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import expit
 
 from .classifier import MIN_EMPIRICAL_SAMPLES, ClassifierModel, EmpiricalScores
@@ -156,6 +156,8 @@ def trigger_rate(path: TriggerPath, lam: float) -> float:
     if curve.width == 0.0:
         return path.input_rate * curve.plateau * math.exp(-lam * curve.threshold)
 
+    from scipy import integrate  # imported here: commands that never fit skip its load time
+
     # Substituting u = lam * p makes the exponential decay on an O(1) scale
     # for any lam, so the quadrature never has to chase a 1/lam-wide tail.
     # The interval splits at the turn-on u_t so the sharp transition sits on
@@ -194,10 +196,15 @@ def fit_lambda(path: TriggerPath) -> MomentumDistribution:
     lam, so the interpolation steps land close from the first iteration.
     The fitted rate must then be within FIT_RATE_RTOL of the target.
     """
+    from scipy import optimize
+
+    # brentq re-evaluates the bracket ends and returns a point it evaluated,
+    # so each lam is integrated once; trigger_rate stays a call-time global
+    rate_at = functools.cache(lambda lam: trigger_rate(path, lam))
     target = path.empirical_rate
     lo, hi = FIT_BRACKET
-    rate_lo = trigger_rate(path, lo)
-    rate_hi = trigger_rate(path, hi)
+    rate_lo = rate_at(lo)
+    rate_hi = rate_at(hi)
     if not (rate_hi <= target <= rate_lo):
         raise FitInfeasibleError(
             f"path {path.object_name!r}: target rate {target:.6g} Hz outside the attainable "
@@ -208,12 +215,12 @@ def fit_lambda(path: TriggerPath) -> MomentumDistribution:
     def residual(lam: float) -> float:
         # a rate that underflows to 0 (hard spectra far above a high
         # threshold) counts as the smallest positive float, not log(0)
-        return math.log(max(trigger_rate(path, lam), math.ulp(0.0))) - log_target
+        return math.log(max(rate_at(lam), math.ulp(0.0))) - log_target
 
     lam, result = optimize.brentq(
         residual, lo, hi, xtol=1e-12, rtol=1e-10, full_output=True, disp=False
     )
-    rate = trigger_rate(path, lam)
+    rate = rate_at(lam)
     if not result.converged or abs(rate - target) > FIT_RATE_RTOL * target:
         raise FitInfeasibleError(
             f"path {path.object_name!r}: Brent's method stopped at lam={lam:.9g} "

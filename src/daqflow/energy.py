@@ -26,7 +26,7 @@ costs are then flagged degenerate and e_fn is None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -48,7 +48,7 @@ class EnergyLedger:
     node_energy: Mapping[str, float]  # J per message, attributed at the node
     link_energy: Mapping[str, float]  # J per message carried, per link
     counts: Mapping[str, float]  # messages/s seen by the node
-    _te_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    totals: Mapping[str, float]  # J per message accumulated by the time it leaves the node
 
 
 def build_ledger(graph: PipelineGraph, assignment: FlowAssignment) -> EnergyLedger:
@@ -87,10 +87,20 @@ def build_ledger(graph: PipelineGraph, assignment: FlowAssignment) -> EnergyLedg
                 e /= total_rate
             node_energy[node.id] = e
 
+    # path sums in one topological pass: a node's own attribution plus the
+    # total at every predecessor, one term per incoming link
+    totals: dict[str, float] = {}
+    for nid in graph.topological_order():
+        te = node_energy[nid]
+        for link in graph.links_in(nid):
+            te += totals[link.source]
+        totals[nid] = te
+
     return EnergyLedger(
         node_energy=MappingProxyType(node_energy),
         link_energy=MappingProxyType(link_energy),
         counts=MappingProxyType(counts),
+        totals=MappingProxyType(totals),
     )
 
 
@@ -98,17 +108,10 @@ def total_energy(graph: PipelineGraph, ledger: EnergyLedger, node_id: str) -> fl
     """Energy one message has consumed by the time it leaves node_id.
 
     Path sum: the node's own attribution plus the total energy accumulated
-    at every predecessor, one term per incoming link.
+    at every predecessor, one term per incoming link (see `build_ledger`).
     """
-    cache = ledger._te_cache
-    if node_id in cache:
-        return cache[node_id]
-    graph.node(node_id)
-    te = ledger.node_energy[node_id]
-    for link in graph.links_in(node_id):
-        te += total_energy(graph, ledger, link.source)
-    cache[node_id] = te
-    return te
+    graph.node(node_id)  # ModelError for an unknown id
+    return ledger.totals[node_id]
 
 
 def mean_total_energy(
@@ -148,14 +151,7 @@ class ErrorCosts:
     degenerate: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "e_tp_j": self.e_tp_j,
-            "e_tn_j": self.e_tn_j,
-            "e_fp_j": self.e_fp_j,
-            "e_fn_j": self.e_fn_j,
-            "tn_tp_ratio": self.tn_tp_ratio,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def error_costs(
@@ -179,13 +175,8 @@ def error_costs(
     tp_sys = assignment.output_true_rate
     if tp_sys > 0.0:
         ratio = tn_total / tp_sys
-        e_fn = e_tn * (1.0 + ratio) + e_tp
-        return ErrorCosts(
-            e_tp_j=e_tp, e_tn_j=e_tn, e_fp_j=e_fp, e_fn_j=e_fn, tn_tp_ratio=ratio
-        )
-    return ErrorCosts(
-        e_tp_j=e_tp, e_tn_j=e_tn, e_fp_j=e_fp, e_fn_j=None, tn_tp_ratio=None, degenerate=True
-    )
+        return ErrorCosts(e_tp, e_tn, e_fp, e_fn_j=e_tn * (1.0 + ratio) + e_tp, tn_tp_ratio=ratio)
+    return ErrorCosts(e_tp, e_tn, e_fp, e_fn_j=None, tn_tp_ratio=None, degenerate=True)
 
 
 def energy_balance(graph: PipelineGraph, ledger: EnergyLedger, assignment: FlowAssignment) -> float:

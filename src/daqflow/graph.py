@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .classifier import ClassifierModel, ConfusionMatrix, OperatingPoint, solve_operating_point
 from .errors import (
@@ -141,39 +143,67 @@ class MessageFlow:
             )
 
 
+def _kahn_order(ids: Iterable[str], links: Iterable[CommLink], links_out: Mapping) -> list[str]:
+    """Kahn's algorithm, ties broken by node id; short if a cycle or missing node blocks it."""
+    indegree = dict.fromkeys(ids, 0)
+    for link in links:
+        if link.target in indegree:
+            indegree[link.target] += 1
+    ready = [nid for nid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for link in links_out.get(nid, ()):
+            if link.target in indegree:
+                indegree[link.target] -= 1
+                if indegree[link.target] == 0:
+                    heapq.heappush(ready, link.target)
+    return order
+
+
 @dataclass(frozen=True)
 class PipelineGraph:
+    """Nodes and links, indexed once at construction.
+
+    The index holds the id -> node map, each endpoint's in/out links (in
+    `links` order) and the topological order (None if cyclic).  Construction
+    never raises; `validate_graph` reports a malformed graph.
+    """
+
     nodes: tuple[Node, ...]
     links: tuple[CommLink, ...]
+    _by_id: Mapping[str, Node] = field(init=False, compare=False, repr=False)
+    _in: Mapping[str, tuple[CommLink, ...]] = field(init=False, compare=False, repr=False)
+    _out: Mapping[str, tuple[CommLink, ...]] = field(init=False, compare=False, repr=False)
+    _order: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        incoming: dict[str, list[CommLink]] = defaultdict(list)
+        outgoing: dict[str, list[CommLink]] = defaultdict(list)
+        for link in self.links:
+            incoming[link.target].append(link)
+            outgoing[link.source].append(link)
+        by_id = {n.id: n for n in self.nodes}
+        links_out = {nid: tuple(ls) for nid, ls in outgoing.items()}
+        order = _kahn_order(by_id, self.links, links_out)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_in", {nid: tuple(ls) for nid, ls in incoming.items()})
+        object.__setattr__(self, "_out", links_out)
+        object.__setattr__(self, "_order", tuple(order) if len(order) == len(self.nodes) else None)
 
     def node(self, node_id: str) -> Node:
         try:
-            return self._node_map[node_id]
+            return self._by_id[node_id]
         except KeyError:
             raise ModelError(f"unknown node {node_id!r}") from None
 
-    def link(self, link_id: str) -> CommLink:
-        try:
-            return self._link_map[link_id]
-        except KeyError:
-            raise ModelError(f"unknown link {link_id!r}") from None
-
-    @property
-    def _node_map(self) -> dict[str, Node]:
-        return {n.id: n for n in self.nodes}
-
-    @property
-    def _link_map(self) -> dict[str, CommLink]:
-        return {l.id: l for l in self.links}
-
     def links_in(self, node_id: str) -> tuple[CommLink, ...]:
-        return tuple(l for l in self.links if l.target == node_id)
+        return self._in.get(node_id, ())
 
     def links_out(self, node_id: str) -> tuple[CommLink, ...]:
-        return tuple(l for l in self.links if l.source == node_id)
-
-    def sensors(self) -> tuple[SensorNode, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, SensorNode))
+        return self._out.get(node_id, ())
 
     def output(self) -> OutputNode:
         outs = [n for n in self.nodes if isinstance(n, OutputNode)]
@@ -188,24 +218,10 @@ class PipelineGraph:
         return matches[0] if matches else None
 
     def topological_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm; ties broken by node id for determinism."""
-        indegree = {n.id: 0 for n in self.nodes}
-        for link in self.links:
-            if link.target in indegree:
-                indegree[link.target] += 1
-        ready = [nid for nid, deg in indegree.items() if deg == 0]
-        heapq.heapify(ready)
-        order: list[str] = []
-        while ready:
-            nid = heapq.heappop(ready)
-            order.append(nid)
-            for link in self.links_out(nid):
-                indegree[link.target] -= 1
-                if indegree[link.target] == 0:
-                    heapq.heappush(ready, link.target)
-        if len(order) != len(self.nodes):
+        """Kahn order with the node-id tie-break, computed at construction."""
+        if self._order is None:
             raise GraphValidationError("graph contains a cycle")
-        return tuple(order)
+        return self._order
 
 
 @dataclass(frozen=True)
@@ -222,6 +238,10 @@ class ValidationReport:
         return "\n".join(f"- {v}" for v in self.violations)
 
 
+def _duplicates(ids: Iterable[str]) -> list[str]:
+    return sorted(i for i, count in Counter(ids).items() if count > 1)
+
+
 def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None) -> ValidationReport:
     """Structural validation; returns a report instead of raising.
 
@@ -230,33 +250,29 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
     pairing can be checked before models are built.
     """
     v: list[str] = []
-    ids = [n.id for n in graph.nodes]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        v.append(f"duplicate node ids: {', '.join(dupes)}")
-        return ValidationReport(tuple(v))
-    link_ids = [l.id for l in graph.links]
-    if len(set(link_ids)) != len(link_ids):
-        dupes = sorted({i for i in link_ids if link_ids.count(i) > 1})
+    dupes = _duplicates(n.id for n in graph.nodes)
+    if dupes:
+        return ValidationReport((f"duplicate node ids: {', '.join(dupes)}",))
+    dupes = _duplicates(l.id for l in graph.links)
+    if dupes:
         v.append(f"duplicate link ids: {', '.join(dupes)}")
 
-    node_ids = set(ids)
+    dangling = False
     for link in graph.links:
         for end, name in ((link.source, "source"), (link.target, "target")):
-            if end not in node_ids:
+            if end not in graph._by_id:
                 v.append(f"link {link.id!r}: {name} {end!r} is not a node")
+                dangling = True
         if link.source == link.target:
             v.append(f"link {link.id!r}: self-loop")
-    if any(end not in node_ids for l in graph.links for end in (l.source, l.target)):
+    if dangling:
         return ValidationReport(tuple(v))
 
     outputs = [n for n in graph.nodes if isinstance(n, OutputNode)]
     if len(outputs) != 1:
         v.append(f"graph must have exactly one output node, found {len(outputs)}")
 
-    try:
-        graph.topological_order()
-    except GraphValidationError:
+    if graph._order is None:
         v.append("graph contains a cycle")
         return ValidationReport(tuple(v))
 
@@ -271,16 +287,12 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
 
     if len(outputs) == 1:
         # every node must reach the output
-        reachable = {outputs[0].id}
-        frontier = [outputs[0].id]
-        while frontier:
-            nid = frontier.pop()
-            for link in graph.links_in(nid):
-                if link.source not in reachable:
-                    reachable.add(link.source)
-                    frontier.append(link.source)
+        reaches = {outputs[0].id}
+        for nid in reversed(graph._order):
+            if any(link.target in reaches for link in graph.links_out(nid)):
+                reaches.add(nid)
         for node in graph.nodes:
-            if node.id not in reachable:
+            if node.id not in reaches:
                 v.append(f"node {node.id!r} has no path to the output")
 
     for node in graph.nodes:
@@ -362,19 +374,14 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
 
     for nid in graph.topological_order():
         node = graph.node(nid)
+        incoming = [flows[l.id] for l in graph.links_in(nid)]
         if isinstance(node, SensorNode):
             n_true = node.sample_rate * node.relevant_fraction
-            produced = MessageFlow(
-                rate=node.sample_rate,
-                size=node.sample_size,
-                n_true=n_true,
-                n_false=node.sample_rate - n_true,
+            out_flow = node_inputs[nid] = MessageFlow(
+                node.sample_rate, node.sample_size, n_true, node.sample_rate - n_true
             )
-            node_inputs[nid] = produced
             node_powers[nid] = node.constant_power_w
-            out_flow = produced
         elif isinstance(node, ProcessNode):
-            incoming = [flows[l.id] for l in graph.links_in(nid)]
             merged = _merge_incoming(nid, incoming)
             node_inputs[nid] = merged
             ops = node.complexity(merged.size)
@@ -385,26 +392,18 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
                     op = solve_operating_point(node.classifier, merged, node.reduction_target)
                 except OperatingPointError as exc:
                     raise OperatingPointError(f"node {nid!r}: {exc}") from exc
-                confusions[nid] = op.confusion
+                confusions[nid] = cm = op.confusion
                 operating_points[nid] = op
-                cm = op.confusion
-                out_flow = MessageFlow(
-                    rate=cm.tp + cm.fp, size=out_size, n_true=cm.tp, n_false=cm.fp
-                )
+                out_flow = MessageFlow(cm.tp + cm.fp, out_size, cm.tp, cm.fp)
             else:
-                out_flow = MessageFlow(
-                    rate=merged.rate, size=out_size, n_true=merged.n_true, n_false=merged.n_false
-                )
+                out_flow = replace(merged, size=out_size)
         else:  # OutputNode: archive every incoming stream
-            incoming = [flows[l.id] for l in graph.links_in(nid)]
             storage_rate = sum(f.rate * f.size for f in incoming)
             out_true = sum(f.n_true for f in incoming)
             out_false = sum(f.n_false for f in incoming)
             total_rate = sum(f.rate for f in incoming)
             total_size = sum(f.size for f in incoming)
-            node_inputs[nid] = MessageFlow(
-                rate=total_rate, size=total_size, n_true=out_true, n_false=out_false
-            )
+            node_inputs[nid] = MessageFlow(total_rate, total_size, out_true, out_false)
             node_powers[nid] = 0.0
             continue
 

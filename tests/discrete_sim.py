@@ -64,7 +64,7 @@ def simulate(graph: PipelineGraph, assignment, n_events: int, seed: int) -> dict
     Returns raw counts and the deterministic per-message energy ledger.
     """
     rng = np.random.default_rng(seed)
-    sensors = graph.sensors()
+    sensors = [n for n in graph.nodes if isinstance(n, SensorNode)]
     rate = sensors[0].sample_rate
     fraction = sensors[0].relevant_fraction
     for s in sensors:
@@ -314,3 +314,10 @@ def random_pipeline(rng: np.random.Generator) -> PipelineGraph:
         )
     )
     return PipelineGraph(nodes=tuple(nodes), links=tuple(links))
+
+
+def shuffled(graph: PipelineGraph, rng: np.random.Generator) -> PipelineGraph:
+    """The same graph with its nodes and its links each in a random order."""
+    nodes = tuple(graph.nodes[i] for i in rng.permutation(len(graph.nodes)))
+    links = tuple(graph.links[i] for i in rng.permutation(len(graph.links)))
+    return PipelineGraph(nodes=nodes, links=links)

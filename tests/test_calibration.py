@@ -163,6 +163,25 @@ def test_fit_needs_few_rate_evaluations(monkeypatch):
         assert 0 < calls <= 20, (path.object_name, calls)
 
 
+def test_fit_integrates_each_lam_once(monkeypatch):
+    rate = calibration.trigger_rate
+    seen = []
+
+    def recorded(path, lam):
+        seen.append(lam)
+        return rate(path, lam)
+
+    monkeypatch.setattr(calibration, "trigger_rate", recorded)
+    paths = _bundled_paths()
+    assert len(paths) == 10
+    for path in paths:
+        seen.clear()
+        fit_lambda(path)
+        # the bracket ends and the root are among the points brentq evaluated
+        assert set(calibration.FIT_BRACKET) <= set(seen)
+        assert len(seen) == len(set(seen)), (path.object_name, seen)
+
+
 def test_scalar_integrand_equals_the_vectorised_curve():
     rng = np.random.default_rng(7)
     checked = far_below = 0

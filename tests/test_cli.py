@@ -108,14 +108,17 @@ def test_exponent_numbers_read_as_text_are_located_errors_with_advice(
 
 def test_cli_import_does_not_load_scipy_stats():
     # score families are closed forms over scipy.special; importing
-    # scipy.stats would add about half a second to every command's start-up
+    # scipy.stats would add about half a second to every command's start-up.
+    # Calibration imports quadrature and root finding only when it fits, so
+    # `validate` and graph-only work never pay for them either.
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
     src = str(Path(daqflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, daqflow.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, daqflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):

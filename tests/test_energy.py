@@ -12,6 +12,7 @@ from daqflow.energy import (
     mean_total_energy,
     total_energy,
 )
+from daqflow.errors import ModelError
 from daqflow.functions import ConstantFn, LinearFn
 from daqflow.graph import (
     CommLink,
@@ -120,6 +121,21 @@ def test_diamond_total_energy_matches_path_enumeration():
         total_energy(g, led, "m") + total_energy(g, led, "a")
     )
     assert mean_total_energy(g, led, a, "out") == pytest.approx(want, rel=1e-12)
+
+
+def test_total_energy_matches_path_enumeration_on_shuffled_random_graphs():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = discrete_sim.shuffled(discrete_sim.random_pipeline(rng), rng)
+        led = build_ledger(g, propagate_flows(g))
+        for node in g.nodes:
+            expected = sum(
+                _count_paths(g, other.id, node.id) * led.node_energy[other.id]
+                for other in g.nodes
+            )
+            assert total_energy(g, led, node.id) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ModelError, match="unknown node"):
+        total_energy(g, led, "nope")
 
 
 def test_fan_in_mean_energy_weights_by_traffic_share():
