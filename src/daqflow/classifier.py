@@ -93,6 +93,9 @@ class ParametricScores:
         lo, hi = _FAMILIES[self.family][3]
         return lo * self.scale + self.loc, hi * self.scale + self.loc
 
+    def spread(self) -> float:
+        return self.scale
+
 
 @dataclass(frozen=True)
 class EmpiricalScores:
@@ -147,6 +150,9 @@ class EmpiricalScores:
     def support(self) -> tuple[float, float]:
         return self.values[0], self.values[-1]
 
+    def spread(self) -> float:
+        return self.values[-1] - self.values[0]
+
 
 @dataclass(frozen=True)
 class ClassifierModel:
@@ -159,7 +165,10 @@ class ClassifierModel:
             raise ValueError("skill_factor must be >= 0")
         if isinstance(self.positive, EmpiricalScores) != isinstance(self.negative, EmpiricalScores):
             raise ValueError("scores must be both empirical or both parametric")
-        if self.positive.mean() < self.negative.mean():
+        # equal means (skill 0) may sit apart by rounding that grows with the scores' magnitude
+        pos, neg = self.positive, self.negative
+        slack = 16 * math.ulp(1.0) * sum(abs(s.mean()) + s.spread() for s in (pos, neg))
+        if neg.mean() - pos.mean() > slack:
             raise ValueError("positive scores must not sit below negative scores")
 
 

@@ -311,7 +311,7 @@ def _cmd_report(args) -> int:
             try:
                 result = evaluate(row_cfg, seed=args.seed)
                 row = result.row
-            except (DaqflowError, ValueError) as exc:
+            except DaqflowError as exc:
                 row = ResultRow(
                     pileup=None, reduction_ratio=None, skill=None, variant="",
                     error=f"{type(exc).__name__}: {exc}",

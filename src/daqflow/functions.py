@@ -74,11 +74,22 @@ class TableFn:
         return float(np.interp(x, self.xs, self.ys))
 
 
-def is_nondecreasing(fn, lo: float, hi: float, points: int = 64) -> bool:
-    """Sampled monotonicity check used by graph validation."""
-    xs = np.linspace(lo, hi, points)
-    ys = np.asarray([fn(float(x)) for x in xs])
-    return bool(np.all(np.diff(ys) >= -1e-12 * np.maximum(np.abs(ys[:-1]), 1.0)))
+CostFn = ConstantFn | LinearFn | PowerLawFn | TableFn
+
+
+def is_nondecreasing_cost(fn: CostFn) -> bool:
+    """Whether fn is a cost form, >= 0 at x = 0 and nondecreasing for x >= 0, read from its
+    parameters.  A table is linear between knots, so fn(0) and its knots above 0 decide."""
+    if isinstance(fn, ConstantFn):
+        return fn.value >= 0
+    if isinstance(fn, LinearFn):
+        return fn.slope >= 0 and fn.intercept >= 0
+    if isinstance(fn, PowerLawFn):
+        return fn.exponent >= 0 and fn.value_at_reference >= 0
+    if isinstance(fn, TableFn):
+        ys = [fn(0.0)] + [y for x, y in zip(fn.xs, fn.ys) if x > 0]
+        return ys[0] >= 0 and all(a <= b for a, b in zip(ys, ys[1:]))
+    return False
 
 
 # === pile-up scaling ===

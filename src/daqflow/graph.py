@@ -31,7 +31,7 @@ from .errors import (
     ModelError,
     OperatingPointError,
 )
-from .functions import ConstantScaling, is_nondecreasing
+from .functions import ConstantScaling, CostFn, is_nondecreasing_cost
 
 __all__ = [
     "SensorNode",
@@ -83,9 +83,9 @@ class SensorNode:
 @dataclass(frozen=True)
 class ProcessNode:
     id: str
-    complexity: object  # input bits -> ops
+    complexity: CostFn  # input bits -> ops
     energy_per_op: float  # J/op
-    output_size: object  # input bits -> output bits
+    output_size: CostFn  # input bits -> output bits
     classifier: ClassifierModel | None = None
     reduction_target: float | None = None
     role: str | None = None
@@ -306,7 +306,7 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
         if node.reduction_target is not None and not has_classifier:
             v.append(f"process {node.id!r} has a reduction_target but no classifier")
         for fn, label in ((node.complexity, "complexity"), (node.output_size, "output_size")):
-            if fn(0.0) < 0 or not is_nondecreasing(fn, 0.0, 1e9):
+            if not is_nondecreasing_cost(fn):
                 v.append(f"process {node.id!r}: {label} must be nonnegative and nondecreasing")
 
     return ValidationReport(tuple(v))

@@ -289,15 +289,6 @@ def _replace_node(graph: PipelineGraph, node_id: str, new_node) -> PipelineGraph
     return PipelineGraph(nodes=nodes, links=graph.links)
 
 
-def _with_l1_skill(graph: PipelineGraph, skill: float) -> PipelineGraph:
-    node = _require_role(graph, "l1t", "skill setting")
-    if not isinstance(node, ProcessNode) or node.classifier is None:
-        raise ModelError("skill setting needs a classifying l1t node")
-    return _replace_node(
-        graph, node.id, replace(node, classifier=apply_skill(node.classifier, skill))
-    )
-
-
 CSV_COLUMNS = (
     "pileup",
     "reduction_ratio",
@@ -367,32 +358,31 @@ def evaluate(
     Keyword overrides replace the config's conditions axis-by-axis;
     variant_names, when given, selects exactly those variants (keeping their
     configured parameters).  The skill override composes onto whatever the
-    variants produced at the l1t classifier.
+    variants produced at the l1t classifier.  Raises only DaqflowErrors: an
+    ArithmeticError or guard ValueError inside is re-raised as a ModelError.
     """
-    base = cfg.build_graph(_effective_seed(cfg, seed))
-    conditions: ExperimentConditions = cfg.conditions
-    changes: dict = {}
-    if pileup is not None:
-        changes["pileup"] = pileup
-    if reduction is not None:
-        changes["l1_reduction"] = reduction
-    if changes:
-        conditions = replace(conditions, **changes)
+    try:
+        base = cfg.build_graph(_effective_seed(cfg, seed))
+        axes = {k: v for k, v in (("pileup", pileup), ("l1_reduction", reduction)) if v is not None}
+        conditions = replace(cfg.conditions, **axes)
 
-    variants: VariantConfig = cfg.variants
-    if variant_names is not None:
-        variants = variants.with_enabled(tuple(variant_names))
+        variants: VariantConfig = cfg.variants
+        if variant_names is not None:
+            variants = variants.with_enabled(tuple(variant_names))
 
-    g = apply_conditions(base, conditions)
-    g = apply_era(g, cfg.era)
-    g = apply_variant(g, variants)
-    if skill is not None and skill != 1.0:
-        g = _with_l1_skill(g, skill)
+        g = apply_conditions(base, conditions)
+        g = apply_era(g, cfg.era)
+        g = apply_variant(g, variants)
+        if skill is not None and skill != 1.0:
+            skill_only = VariantConfig(l1_tracks=L1Tracks(enabled=True, skill_factor=skill))
+            g = apply_variant(g, skill_only)
 
-    assignment = propagate_flows(g)
-    score = score_system(g, assignment)
-    ledger = build_ledger(g, assignment)
-    costs = error_costs(g, ledger, assignment)
+        assignment = propagate_flows(g)
+        score = score_system(g, assignment)
+        ledger = build_ledger(g, assignment)
+        costs = error_costs(g, ledger, assignment)
+    except (ArithmeticError, ValueError) as exc:
+        raise ModelError(f"{type(exc).__name__}: {exc}") from exc
 
     l1t = g.find_role("l1t")
     if isinstance(l1t, ProcessNode) and l1t.classifier is not None:
@@ -437,7 +427,7 @@ def _sweep_point(args) -> ResultRow:
             seed=seed,
         )
         return result.row
-    except (DaqflowError, ValueError, ZeroDivisionError) as exc:
+    except DaqflowError as exc:
         return ResultRow(
             pileup=pileup,
             reduction_ratio=reduction,

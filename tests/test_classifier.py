@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from daqflow.calibration import fit_lambda, sample_scores
 from daqflow.classifier import (
     ClassifierModel,
     EmpiricalScores,
@@ -220,6 +221,47 @@ def test_skill_monotonically_improves_tp():
         op = solve_operating_point(apply_skill(base, skill), flow, reduction_target=40.0)
         tps.append(op.confusion.tp)
     assert all(b >= a - 1e-9 for a, b in zip(tps, tps[1:]))
+
+
+def test_skill_zero_levels_the_means_of_the_bundled_menus(load_fixture):
+    # the shifted mean lands within rounding of the negative one, on either side
+    menus = load_fixture("cms_base").menus
+    for menu in menus.values():
+        fitted = tuple(dataclasses.replace(p, momentum=fit_lambda(p)) for p in menu.paths)
+        for seed in range(20):
+            negative, positive = sample_scores(fitted, menu.mode, menu.sample_count, seed)
+            level = apply_skill(ClassifierModel(positive, negative), 0.0)
+            assert level.skill_factor == 0.0
+            assert level.positive.mean() == pytest.approx(negative.mean(), rel=1e-12)
+    assert len(menus) == 2
+
+
+def test_mean_order_guard_forgives_rounding_only():
+    rng = np.random.default_rng(3)
+
+    def bimodal(offset):
+        halves = (-1e6 + rng.random(1000), 1e6 + rng.random(1000))
+        return EmpiricalScores.from_samples(np.concatenate(halves) + offset)
+
+    # scores of size 1e6 with means near 0: the rounding a skill-0 shift leaves
+    # grows with the spread, far past any slack that follows the means alone
+    for _ in range(20):
+        level = apply_skill(ClassifierModel(bimodal(3.0), bimodal(0.0)), 0.0)
+        assert level.positive.mean() == pytest.approx(level.negative.mean(), abs=1e-9)
+
+    sparse = rng.integers(0, 5, size=2000) * (rng.random(2000) < 0.01)  # like a summed menu
+    cases = [
+        ParametricScores("normal", loc=0.0, scale=1.0),
+        ParametricScores("logistic", loc=1e6, scale=1e3),
+        ParametricScores("uniform", loc=-1e6, scale=2e6),  # mean 0, scores of size 1e6
+        EmpiricalScores.from_samples(sparse),
+        bimodal(0.0),
+    ]
+    for negative in cases:
+        spread = negative.spread()
+        assert spread > 0
+        with pytest.raises(ValueError, match="below"):
+            ClassifierModel(positive=negative.shift(-1e-6 * spread), negative=negative)
 
 
 def test_empirical_cdf_quantile_and_atoms():

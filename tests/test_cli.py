@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,9 @@ import yaml
 
 import daqflow
 from daqflow.cli import COSTS_COLUMNS, main
-from daqflow.scenario import CSV_COLUMNS
+from daqflow.config import load_config
+from daqflow.energy import build_ledger, energy_balance
+from daqflow.scenario import CSV_COLUMNS, evaluate
 
 CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
 
@@ -87,6 +90,91 @@ def test_zero_power_law_reference_is_a_located_error(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"bad.cfg:{lineno}" in err and "reference must be finite and positive" in err
+
+
+def test_validate_rejects_a_dip_between_table_knots(tmp_path, capsys):
+    # the dip lies between any two points of a coarse sample over [0, 1e9]
+    good = "complexity: {form: linear, slope: 25}"
+    dip = "complexity: {form: table, xs: [0, 1.0e+6, 2.0e+6], ys: [0, 1.0e+10, 0]}"
+    text = (CONFIG_DIR / "cms_base.cfg").read_text()
+    assert text.count(good) == 1
+    bad = tmp_path / "dip.cfg"
+    bad.write_text(text.replace(good, dip))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "process 'l1t': complexity must be nonnegative and nondecreasing" in err
+
+
+def test_validate_judges_a_table_from_x_0_up(tmp_path, capsys):
+    # ys[0] < 0 sits at x = -5 bit, left of every input size the graph can carry
+    good = "complexity: {form: linear, slope: 25}"
+    below = 'complexity: {form: table, xs: ["-5 bit", "10 bit"], ys: [-1, 250]}'
+    path = tmp_path / "below.cfg"
+    path.write_text((CONFIG_DIR / "cms_base.cfg").read_text().replace(good, below))
+    assert main(["validate", str(path)]) == 0
+    assert ": OK (" in capsys.readouterr().out
+
+
+def _extending_base(tmp_path, body: str) -> Path:
+    path = tmp_path / "case.cfg"
+    path.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\n{body}")
+    return path
+
+
+def _summed_menu(k: int) -> str:
+    paths = "".join(
+        f'        - {{name: p{i}, threshold: "{30 + i} GeV", width: "3 GeV", plateau: 0.95,'
+        f' empirical_rate: "5 kHz", input_rate: "40 MHz"}}\n'
+        for i in range(k)
+    )
+    return (
+        "calibration:\n  menus:\n    l1_menu:\n      mode: summed\n"
+        f"      sample_count: 1000\n      paths:\n{paths}"
+    )
+
+
+@pytest.mark.parametrize(
+    "body, cause",
+    [
+        ("conditions: {pileup: 1.0e+300}\n", "OverflowError"),
+        (_summed_menu(21), "ValueError: summed mode enumerates"),
+    ],
+    ids=["pileup_1e300", "summed_menu_21_paths"],
+)
+def test_model_failures_end_as_one_error_line(tmp_path, capsys, body, cause):
+    assert main(["run", str(_extending_base(tmp_path, body))]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {cause}")
+
+
+def test_skill_zero_runs_and_meets_the_audit_identities(tmp_path, capsys):
+    cfg_path = _extending_base(
+        tmp_path, "variants: {l1_tracks: {enabled: true, skill_factor: 0.0}}\n"
+    )
+    out = tmp_path / "run.json"
+    assert main(["run", str(cfg_path), "--format", "json", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["row"]
+
+    res = evaluate(load_config(cfg_path))
+    assert row == res.row.as_dict()
+    assert row["skill"] == 0.0 and row["error"] == ""
+    numbers = [v for v in row.values() if isinstance(v, float)]
+    assert len(numbers) == 9 and all(map(math.isfinite, numbers))
+    # productivity = rate / power * f1
+    assert row["productivity_per_kj"] == pytest.approx(
+        row["output_rate_hz"] / row["power_w"] * row["f1"] * 1e3, rel=1e-9
+    )
+    # tp + fp = incoming rate / reduction at every classifier
+    a = res.assignment
+    for nid, cm in a.confusions.items():
+        target = res.graph.node(nid).reduction_target
+        assert cm.tp + cm.fp == pytest.approx(a.node_inputs[nid].rate / target, rel=1e-9)
+    assert len(a.confusions) == 2
+    # energy balance = total power
+    ledger = build_ledger(res.graph, a)
+    assert energy_balance(res.graph, ledger, a) == pytest.approx(row["power_w"], rel=1e-9)
 
 
 @pytest.mark.parametrize(

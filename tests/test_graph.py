@@ -9,7 +9,7 @@ import pytest
 import discrete_sim
 from daqflow.classifier import ClassifierModel, ParametricScores
 from daqflow.errors import FlowConsistencyError, GraphValidationError, ModelError
-from daqflow.functions import ConstantFn, LinearFn
+from daqflow.functions import ConstantFn, LinearFn, PowerLawFn
 from daqflow.graph import (
     CommLink,
     MessageFlow,
@@ -334,6 +334,26 @@ def test_validation_catalog():
     report = validate_graph(good)
     assert report.ok
     assert str(report) == "graph OK"
+
+
+def test_cost_forms_are_judged_by_their_parameters():
+    # a negative exponent divides by zero at x = 0, and a bare callable has no
+    # parameters to read: both are violations, not crashes
+    for bad in (PowerLawFn(exponent=-1.0, value_at_reference=1.0, reference=1.0), lambda x: x):
+        g = PipelineGraph(
+            nodes=(
+                SensorNode(id="sen", sample_size=1.0, sample_rate=1e6),
+                ProcessNode(
+                    id="proc", complexity=bad, energy_per_op=1e-12, output_size=bad,
+                ),
+                OutputNode(id="out"),
+            ),
+            links=(_link("a", "sen", "proc"), _link("b", "proc", "out")),
+        )
+        assert validate_graph(g).violations == (
+            "process 'proc': complexity must be nonnegative and nondecreasing",
+            "process 'proc': output_size must be nonnegative and nondecreasing",
+        )
 
 
 def test_propagate_refuses_invalid_graphs():

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,33 @@ def test_sweep_rows_fail_individually():
     assert rows[0].error == ""  # baseline skill needs no l1t role
     assert "ModelError" in rows[1].error and "l1t" in rows[1].error
     assert rows[1].skill == 1.2
+
+
+def test_one_overflowing_point_does_not_abort_the_sweep(load_fixture):
+    base = Path(load_fixture("cms_base").source_path)
+    text = f"extends: {base.name}\nsweep: {{pileup: [60, 1.0e+300], skill: [0.0, 1.0]}}\n"
+    cfg = parse_config(text, base_dir=base.parent)
+    rows = sweep(cfg)
+    assert [(r.pileup, r.skill) for r in rows] == [
+        (60.0, 0.0), (60.0, 1.0), (1e300, 0.0), (1e300, 1.0)
+    ]
+    for row in rows[2:]:
+        assert row.error.startswith("ModelError: OverflowError: ")
+        assert row.power_w is None
+    seed = cfg.seeds["calibration"]
+    for row, skill in zip(rows[:2], (0.0, 1.0)):
+        assert row == evaluate(cfg, pileup=60.0, skill=skill, seed=seed).row
+
+
+def test_evaluate_raises_arithmetic_and_guard_failures_as_model_errors(load_fixture):
+    cfg = load_fixture("cms_run3")
+    with pytest.raises(ModelError, match="^OverflowError: ") as info:
+        evaluate(cfg, pileup=1e300)
+    assert isinstance(info.value.__cause__, OverflowError)
+    with pytest.raises(ModelError, match="^ValueError: pileup values must be positive$"):
+        evaluate(cfg, pileup=-1.0)
+    with pytest.raises(ModelError, match="^ValueError: skill_factor must be finite"):
+        evaluate(cfg, skill=math.nan)
 
 
 def test_higher_skill_never_hurts_productivity(load_fixture):
