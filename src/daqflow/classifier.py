@@ -43,13 +43,13 @@ __all__ = [
 ]
 
 
-# Standard form (loc 0, scale 1) of each family: CDF, quantile function, mean
-# and support, as scipy.stats defines them; ParametricScores evaluates them at
+# Standard form (loc 0, scale 1) of each family: CDF, quantile function and
+# mean, as scipy.stats defines them; ParametricScores evaluates them at
 # (z - loc) / scale and maps standard values back as x * scale + loc.
 _FAMILIES = {
-    "normal": (special.ndtr, special.ndtri, 0.0, (-math.inf, math.inf)),
-    "logistic": (special.expit, special.logit, 0.0, (-math.inf, math.inf)),
-    "uniform": (lambda x: 0.0 if x <= 0.0 else min(x, 1.0), lambda q: q, 0.5, (0.0, 1.0)),
+    "normal": (special.ndtr, special.ndtri, 0.0),
+    "logistic": (special.expit, special.logit, 0.0),
+    "uniform": (lambda x: 0.0 if x <= 0.0 else min(x, 1.0), lambda q: q, 0.5),
 }
 
 # Empirical quantiles need enough samples to be stable.
@@ -88,10 +88,6 @@ class ParametricScores:
 
     def shift(self, delta: float) -> "ParametricScores":
         return replace(self, loc=self.loc + delta)
-
-    def support(self) -> tuple[float, float]:
-        lo, hi = _FAMILIES[self.family][3]
-        return lo * self.scale + self.loc, hi * self.scale + self.loc
 
     def spread(self) -> float:
         return self.scale
@@ -147,9 +143,6 @@ class EmpiricalScores:
     def shift(self, delta: float) -> "EmpiricalScores":
         return replace(self, values=tuple(v + delta for v in self.values))
 
-    def support(self) -> tuple[float, float]:
-        return self.values[0], self.values[-1]
-
     def spread(self) -> float:
         return self.values[-1] - self.values[0]
 
@@ -201,10 +194,6 @@ def weighted_cdf(model: ClassifierModel, n_true: float, n_false: float, z: float
         raise DegeneratePopulationError("weighted CDF undefined: both population rates are zero")
     return (n_true * model.positive.cdf(z) + n_false * model.negative.cdf(z)) / total
 
-def _support_union(model: ClassifierModel) -> tuple[float, float]:
-    plo, phi = model.positive.support()
-    nlo, nhi = model.negative.support()
-    return min(plo, nlo), max(phi, nhi)
 
 def solve_threshold(
     model: ClassifierModel,
@@ -215,10 +204,12 @@ def solve_threshold(
 ) -> float:
     """Find z_T with weighted_cdf(z_T) equal to rejection_fraction.
 
-    Continuous models: bisection to `tol` in score units, leaving the CDF
-    within 1e-6 of the target.  Empirical models: the smallest score value
-    of either population whose weighted step CDF reaches the target
-    (right-continuous convention).
+    Continuous models: bisection between the two populations' own quantiles
+    at the target, which bracket the mixture's, until the bracket is `tol`
+    wide in score units or no float lies inside it; returns the bracket's
+    lower end.  Empirical models: the smallest score value of either
+    population whose weighted step CDF reaches the target (right-continuous
+    convention).
     """
     if not 0.0 < rejection_fraction < 1.0:
         raise OperatingPointError(
@@ -232,40 +223,22 @@ def solve_threshold(
     if isinstance(model.positive, EmpiricalScores):
         return _empirical_quantile(model, n_true, n_false, rejection_fraction)
 
-    lo, hi = _support_union(model)
-    # Pull infinite supports in to a finite bracket via per-population quantiles.
-    eps = min(rejection_fraction, 1.0 - rejection_fraction) * 1e-3
-    if not math.isfinite(lo):
-        lo = min(model.positive.quantile(eps), model.negative.quantile(eps))
-    if not math.isfinite(hi):
-        hi = max(model.positive.quantile(1.0 - eps), model.negative.quantile(1.0 - eps))
-    f_lo = weighted_cdf(model, n_true, n_false, lo) - rejection_fraction
-    f_hi = weighted_cdf(model, n_true, n_false, hi) - rejection_fraction
-    spread = hi - lo
-    while f_lo > 0 and spread < 1e12:
-        lo -= spread
-        spread *= 2
-        f_lo = weighted_cdf(model, n_true, n_false, lo) - rejection_fraction
-    while f_hi < 0 and spread < 1e12:
-        hi += spread
-        spread *= 2
-        f_hi = weighted_cdf(model, n_true, n_false, hi) - rejection_fraction
-    if f_lo > 0 or f_hi < 0:
-        attained = (
-            weighted_cdf(model, n_true, n_false, lo),
-            weighted_cdf(model, n_true, n_false, hi),
-        )
-        raise OperatingPointError(
-            f"rejection fraction {rejection_fraction} unattainable; "
-            f"nearest attainable range is [{attained[0]:.9f}, {attained[1]:.9f}]"
-        )
+    # Both population CDFs are <= the target at the lower quantile and >= it
+    # at the upper one, so the weighted CDF is too.
+    lo, hi = sorted(
+        (model.positive.quantile(rejection_fraction), model.negative.quantile(rejection_fraction))
+    )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: tol is below the score's resolution
+            break
         if weighted_cdf(model, n_true, n_false, mid) < rejection_fraction:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    # below the target, so mass stays above the threshold even when no float
+    # threshold keeps exactly rate / reduction
+    return lo
 
 
 def _empirical_quantile(

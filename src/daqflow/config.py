@@ -7,10 +7,11 @@ carry a unit suffix, unknown fields are rejected, non-finite numbers are
 refused, and all problems are collected and reported together with
 file:line locations instead of stopping at the first one.
 
-Every table-shaped section (conditions, era, variants, trigger paths, menus,
-function and scaling forms, nodes, links) is described once, as a _Table of
-_Field records.  _read_table() walks a table to check a mapping and build
-its object; _write_table() walks the same table to emit the object again.
+Every table-shaped section (seeds, conditions, era, variants, trigger paths,
+menus, function and scaling forms, nodes, links, sweep, report) is described
+once, as a _Table of _Field records.  _read_table() walks a table to check a
+mapping and build its object; _write_table() walks the same table to emit the
+object again.
 
 A file may name a single parent via `extends:`; the child's sections are
 deep-merged over the parent's (scalars and lists replace, mappings merge).
@@ -119,9 +120,14 @@ def _merge(parent: dict, child: dict) -> dict:
 
 
 class _Ctx:
-    """Collects (location, message) pairs so one parse reports everything."""
+    """Collects (location, message) pairs so one parse reports everything.
 
-    def __init__(self) -> None:
+    base_dir is the directory report references resolve against (None when
+    the config text has no file).
+    """
+
+    def __init__(self, base_dir: Path | None) -> None:
+        self.base_dir = base_dir
         self.errors: list[tuple[str, str]] = []
 
     def error(self, loc: str, message: str) -> None:
@@ -162,16 +168,6 @@ def _expect_mapping(ctx: _Ctx, value, section: str, loc: str) -> dict:
     return value
 
 
-def _str(ctx, mapping, section, key, default=None):
-    if key not in mapping:
-        return default
-    v = mapping[key]
-    if not isinstance(v, str) or not v:
-        ctx.error(_loc(mapping), f"{section}.{key}: expected a non-empty string, got {v!r}")
-        return default
-    return v
-
-
 # === section tables ===
 
 
@@ -183,8 +179,10 @@ class _Field:
     last component is the keyword the table's constructor takes.  attr None
     marks a key the section accepts but its object does not hold; the caller
     reads that key itself.  kind is "number", "int", "bool", "str", "ratio",
-    "bits" (a size string or a bare number of bits), a units.KINDS name, or a
-    nested _Table, _OneOf or _ListOf.  minimum is an inclusive lower bound.
+    "bits" (a size string or a bare number of bits), "variants" (names joined
+    by '+', or 'none'; read as a tuple of names), "config" (a path to another
+    config, read as the resolved path), a units.KINDS name, or a nested
+    _Table, _OneOf or _ListOf.  minimum is an inclusive lower bound.
     """
 
     key: str
@@ -232,7 +230,6 @@ def _trigger_path(object_name, threshold, width, plateau, empirical_rate, input_
 
 _CONDITIONS = _Table(ExperimentConditions, (
     _Field("pileup", "pileup", "number", required=True),
-    _Field("reference_pileup", "reference_pileup", "number", required=True),
     _Field("bunch_rate", "bunch_rate", "rate"),
     _Field("l1_reduction", "l1_reduction", "ratio"),
     _Field("hlt_reduction", "hlt_reduction", "ratio"),
@@ -352,6 +349,62 @@ _LINK = _Table(CommLink, (
     _Field("bandwidth_per_channel", "bandwidth_per_channel", "bandwidth", required=True),
 ))
 
+_SEEDS = _Table(
+    lambda calibration: {} if calibration is None else {"calibration": calibration},
+    (_Field("calibration", "calibration", "int", minimum=0),),
+)
+
+
+@dataclass(frozen=True)
+class SweepAxes:
+    """Grid axes; a None entry means 'as configured' for that point.
+
+    A variants entry is the tuple of variant names switched on at that point.
+    """
+
+    pileup: tuple = (None,)
+    reduction: tuple = (None,)
+    skill: tuple = (None,)
+    variants: tuple = (None,)
+
+
+_SWEEP = _Table(SweepAxes, (
+    _Field("pileup", "pileup", _ListOf("number"), default=(None,)),
+    _Field("reduction", "reduction", _ListOf("ratio"), default=(None,)),
+    _Field("skill", "skill", _ListOf("number"), default=(None,)),
+    _Field("variants", "variants", _ListOf("variants"), default=(None,)),
+))
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    label: str
+    config_path: str
+
+
+@dataclass(frozen=True)
+class ReportTable:
+    title: str
+    rows: tuple[ReportRow, ...]
+
+
+@dataclass(frozen=True)
+class ReportSpec:
+    tables: tuple[ReportTable, ...]
+
+
+_REPORT_ROW = _Table(ReportRow, (
+    _Field("label", "label", "str", required=True),
+    _Field("config", "config_path", "config", required=True),
+))
+
+_REPORT = _Table(ReportSpec, (
+    _Field("tables", "tables", _ListOf(_Table(ReportTable, (
+        _Field("title", "title", "str", required=True),
+        _Field("rows", "rows", _ListOf(_REPORT_ROW), required=True),
+    ))), required=True),
+))
+
 # Stage role -> (menu mode it needs, stage name for the message).
 _STAGE_MODES = {"l1t": ("summed", "first-stage"), "hlt": ("one-at-a-time", "second-stage")}
 
@@ -361,7 +414,7 @@ _STAGE_MODES = {"l1t": ("summed", "first-stage"), "hlt": ("one-at-a-time", "seco
 _BAD = object()  # a value that failed to read; its problem is already recorded
 
 
-def _read_scalar(kind: str, v):
+def _read_scalar(kind: str, v, base_dir: Path | None):
     if kind in KINDS:
         return parse_quantity(v, kind)
     if kind == "ratio":
@@ -380,6 +433,26 @@ def _read_scalar(kind: str, v):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"expected an integer, got {v!r}")
         return v
+    if kind == "variants":
+        if not isinstance(v, str):
+            raise ValueError(f"expected a variant name string, got {v!r}")
+        entry = v.strip()
+        names = () if entry in ("", "none") else tuple(n.strip() for n in entry.split("+"))
+        for name in names:
+            if name not in VARIANT_NAMES:
+                raise ValueError(
+                    f"unknown variant {name!r} "
+                    f"(known: {', '.join(VARIANT_NAMES)}, combine with '+')"
+                )
+        return names
+    if kind == "config":
+        ref = _read_scalar("str", v, base_dir)
+        if base_dir is None:
+            raise ValueError("report references need a file-based config")
+        path = (base_dir / ref).resolve()
+        if not path.is_file():
+            raise ValueError(f"referenced config not found: {ref}")
+        return str(path)
     return _number(v)
 
 
@@ -412,7 +485,7 @@ def _read_value(ctx: _Ctx, kind, v, loc: str, where: str):
     """Read one value of any kind; _BAD (with the problem recorded) on failure."""
     if isinstance(kind, str):
         try:
-            value = _read_scalar(kind, v)
+            value = _read_scalar(kind, v, ctx.base_dir)
         except (UnitError, ValueError) as exc:
             ctx.error(loc, f"{where}: {exc}")
             return _BAD
@@ -535,116 +608,6 @@ def _read_nodes(ctx: _Ctx, data: dict, menus: dict):
 
 
 @dataclass(frozen=True)
-class SweepAxes:
-    """Grid axes; a None entry means 'as configured' for that point."""
-
-    pileup: tuple = (None,)
-    reduction: tuple = (None,)
-    skill: tuple = (None,)
-    variants: tuple = (None,)
-
-
-def _parse_sweep(ctx: _Ctx, mapping: dict | None) -> SweepAxes | None:
-    if mapping is None:
-        return None
-    _check_fields(ctx, mapping, "sweep", allowed={"pileup", "reduction", "skill", "variants"})
-
-    def axis(key, convert):
-        if key not in mapping:
-            return (None,)
-        raw = mapping[key]
-        if not isinstance(raw, list) or not raw:
-            ctx.error(_loc(mapping), f"sweep.{key}: expected a non-empty list")
-            return (None,)
-        out = []
-        for v in raw:
-            try:
-                value = convert(v)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"must be finite, got {value!r}")
-                out.append(value)
-            except (UnitError, ValueError, TypeError) as exc:
-                ctx.error(_loc(mapping), f"sweep.{key}: {exc}")
-        return tuple(out) if out else (None,)
-
-    def as_variant(v):
-        if not isinstance(v, str):
-            raise ValueError(f"expected a variant name string, got {v!r}")
-        entry = v.strip()
-        if entry not in ("", "none"):
-            for name in entry.split("+"):
-                if name.strip() not in VARIANT_NAMES:
-                    raise ValueError(
-                        f"unknown variant {name.strip()!r} "
-                        f"(known: {', '.join(VARIANT_NAMES)}, combine with '+')"
-                    )
-        return entry
-
-    return SweepAxes(
-        pileup=axis("pileup", _number),
-        reduction=axis("reduction", parse_ratio),
-        skill=axis("skill", _number),
-        variants=axis("variants", as_variant),
-    )
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    config_path: str
-
-
-@dataclass(frozen=True)
-class ReportTable:
-    title: str
-    rows: tuple[ReportRow, ...]
-
-
-@dataclass(frozen=True)
-class ReportSpec:
-    tables: tuple[ReportTable, ...]
-
-
-def _parse_report(ctx: _Ctx, mapping: dict | None, base_dir: Path | None) -> ReportSpec | None:
-    if mapping is None:
-        return None
-    _check_fields(ctx, mapping, "report", allowed={"tables"}, required=("tables",))
-    raw_tables = mapping.get("tables", [])
-    if not isinstance(raw_tables, list) or not raw_tables:
-        ctx.error(_loc(mapping), "report.tables: expected a non-empty list")
-        return None
-    tables = []
-    for i, raw in enumerate(raw_tables):
-        section = f"report.tables[{i}]"
-        raw = _expect_mapping(ctx, raw, section, _loc(mapping))
-        _check_fields(ctx, raw, section, allowed={"title", "rows"}, required=("title", "rows"))
-        title = _str(ctx, raw, section, "title", default="")
-        raw_rows = raw.get("rows", [])
-        if not isinstance(raw_rows, list) or not raw_rows:
-            ctx.error(_loc(raw), f"{section}.rows: expected a non-empty list")
-            continue
-        rows = []
-        for j, rr in enumerate(raw_rows):
-            rsec = f"{section}.rows[{j}]"
-            rr = _expect_mapping(ctx, rr, rsec, _loc(raw))
-            _check_fields(ctx, rr, rsec, allowed={"label", "config"}, required=("label", "config"))
-            label = _str(ctx, rr, rsec, "label")
-            ref = _str(ctx, rr, rsec, "config")
-            if label is None or ref is None:
-                continue
-            if base_dir is None:
-                ctx.error(_loc(rr), f"{rsec}.config: report references need a file-based config")
-                continue
-            path = (base_dir / ref).resolve()
-            if not path.is_file():
-                ctx.error(_loc(rr), f"{rsec}.config: referenced config not found: {ref}")
-                continue
-            rows.append(ReportRow(label=label, config_path=str(path)))
-        tables.append(ReportTable(title=title, rows=tuple(rows)))
-    return ReportSpec(tables=tuple(tables))
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     schema_version: int
     conditions: ExperimentConditions
@@ -691,7 +654,7 @@ _TOP_LEVEL = {
 
 
 def _build_config(data: dict, base_dir: Path | None, source: str | None) -> ModelConfig:
-    ctx = _Ctx()
+    ctx = _Ctx(base_dir)
     _check_fields(
         ctx,
         data,
@@ -712,21 +675,10 @@ def _build_config(data: dict, base_dir: Path | None, source: str | None) -> Mode
         ctx.error(_loc(data), f"description: expected a string, got {description!r}")
         description = ""
 
-    seeds: dict[str, int] = {}
-    raw_seeds = data.get("seeds")
-    if raw_seeds is not None:
-        raw_seeds = _expect_mapping(ctx, raw_seeds, "seeds", _loc(data))
-        for k, v in raw_seeds.items():
-            if k == _LOC:
-                continue
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                ctx.error(_loc(raw_seeds), f"seeds.{k}: expected a nonnegative integer, got {v!r}")
-            else:
-                seeds[k] = v
-
     def section(key, table, default):
         return _read_value(ctx, table, data[key], _loc(data), key) if key in data else default
 
+    seeds = section("seeds", _SEEDS, {})
     conditions = section("conditions", _CONDITIONS, _BAD)
     era = section("era", _ERA, TechnologyEra(year=2024, efficiency_factor=1.0))
     variants = section("variants", _VARIANTS, VariantConfig())
@@ -740,15 +692,8 @@ def _build_config(data: dict, base_dir: Path | None, source: str | None) -> Mode
         )
         if link is not _BAD
     )
-    sweep_axes = _parse_sweep(
-        ctx,
-        _expect_mapping(ctx, data["sweep"], "sweep", _loc(data)) if "sweep" in data else None,
-    )
-    report = _parse_report(
-        ctx,
-        _expect_mapping(ctx, data["report"], "report", _loc(data)) if "report" in data else None,
-        base_dir,
-    )
+    sweep_axes = section("sweep", _SWEEP, None)
+    report = section("report", _REPORT, None)
     ctx.fail_if_errors()
     return ModelConfig(
         schema_version=version,
@@ -818,6 +763,8 @@ def _write_value(kind, value):
         raise ConfigError(f"cannot serialize {type(value).__name__} as a config {kind.tag}")
     if isinstance(kind, _ListOf):
         return [_write_value(kind.item, v) for v in value]
+    if kind == "variants":
+        return "+".join(value) or "none"
     if kind == "bits":
         return format_quantity(value, "size")
     if kind in KINDS:
@@ -861,22 +808,8 @@ def serialize_config(cfg: ModelConfig) -> str:
         data["calibration"] = {"menus": menus}
 
     if cfg.sweep is not None:
-        sweep_spec = {}
-        for axis in ("pileup", "reduction", "skill", "variants"):
-            values = getattr(cfg.sweep, axis)
-            if values != (None,):
-                sweep_spec[axis] = list(values)
-        data["sweep"] = sweep_spec
-
+        data["sweep"] = _write_table(_SWEEP, cfg.sweep)
     if cfg.report is not None:
-        data["report"] = {
-            "tables": [
-                {
-                    "title": t.title,
-                    "rows": [{"label": r.label, "config": r.config_path} for r in t.rows],
-                }
-                for t in cfg.report.tables
-            ]
-        }
+        data["report"] = _write_table(_REPORT, cfg.report)
 
     return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)

@@ -256,6 +256,8 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
     dupes = _duplicates(l.id for l in graph.links)
     if dupes:
         v.append(f"duplicate link ids: {', '.join(dupes)}")
+    for role in _duplicates(n.role for n in graph.nodes if getattr(n, "role", None) is not None):
+        v.append(f"role {role!r} is assigned to multiple nodes")
 
     dangling = False
     for link in graph.links:
@@ -356,7 +358,8 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
     their outgoing rate is incoming/reduction exactly and the split of the
     survivors into true/false populations follows the solved confusion
     matrix.  Raises OperatingPointError (naming the node) when a classifier
-    cannot reach its target, FlowConsistencyError on fan-in rate mismatch.
+    cannot reach its target, FlowConsistencyError on fan-in rate mismatch,
+    and ModelError (naming the node) when a cost function fails arithmetically.
     """
     report = validate_graph(graph)
     if not report.ok:
@@ -384,9 +387,12 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
         elif isinstance(node, ProcessNode):
             merged = _merge_incoming(nid, incoming)
             node_inputs[nid] = merged
-            ops = node.complexity(merged.size)
+            try:
+                ops = node.complexity(merged.size)
+                out_size = node.output_size(merged.size)
+            except ArithmeticError as exc:
+                raise ModelError(f"{type(exc).__name__}: {exc} (node {nid!r})") from exc
             node_powers[nid] = merged.rate * ops * node.energy_per_op + node.constant_power_w
-            out_size = node.output_size(merged.size)
             if node.classifier is not None:
                 try:
                     op = solve_operating_point(node.classifier, merged, node.reduction_target)

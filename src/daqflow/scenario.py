@@ -56,7 +56,6 @@ __all__ = [
 @dataclass(frozen=True)
 class ExperimentConditions:
     pileup: float
-    reference_pileup: float
     bunch_rate: float | None = None  # Hz; None keeps each sensor's own rate
     l1_reduction: float | None = None
     hlt_reduction: float | None = None
@@ -65,7 +64,6 @@ class ExperimentConditions:
     def __post_init__(self) -> None:
         values = (
             self.pileup,
-            self.reference_pileup,
             self.bunch_rate,
             self.l1_reduction,
             self.hlt_reduction,
@@ -73,7 +71,7 @@ class ExperimentConditions:
         )
         if not all(math.isfinite(v) for v in values if v is not None):
             raise ValueError("condition values must be finite")
-        if self.pileup <= 0 or self.reference_pileup <= 0:
+        if self.pileup <= 0:
             raise ValueError("pileup values must be positive")
         if self.bunch_rate is not None and self.bunch_rate <= 0:
             raise ValueError("bunch_rate must be positive")
@@ -407,16 +405,8 @@ def evaluate(
     return EvaluationResult(graph=g, assignment=assignment, score=score, costs=costs, row=row)
 
 
-def _parse_variant_entry(entry: str) -> tuple[str, ...]:
-    entry = entry.strip()
-    if entry in ("", "none"):
-        return ()
-    return tuple(part.strip() for part in entry.split("+"))
-
-
 def _sweep_point(args) -> ResultRow:
-    cfg, pileup, reduction, skill, variant_entry, seed = args
-    names = None if variant_entry is None else _parse_variant_entry(variant_entry)
+    cfg, pileup, reduction, skill, names, seed = args
     try:
         result = evaluate(
             cfg,
@@ -432,7 +422,7 @@ def _sweep_point(args) -> ResultRow:
             pileup=pileup,
             reduction_ratio=reduction,
             skill=skill,
-            variant="config" if variant_entry is None else variant_entry,
+            variant="config" if names is None else "+".join(names) or "none",
             error=f"{type(exc).__name__}: {exc}",
         )
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from daqflow import classifier
 from daqflow.calibration import fit_lambda, sample_scores
 from daqflow.classifier import (
     ClassifierModel,
@@ -164,6 +165,33 @@ def test_threshold_is_monotone_in_rejection():
     assert thresholds == sorted(thresholds)
 
 
+@pytest.mark.parametrize("loc", [0.0, 1e7, 1e9])
+@pytest.mark.parametrize("reduction", [400.0, 1e14, 1e16])
+@pytest.mark.parametrize("family", ["normal", "logistic", "uniform"])
+def test_parametric_solve_ends_at_extreme_targets_and_locations(
+    family, reduction, loc, monkeypatch
+):
+    # 1 - 1/R near 1 and scores whose float spacing exceeds the solver's
+    # tolerance must both end the bisection; a hang shows as too many calls
+    calls = 0
+    real_weighted_cdf = classifier.weighted_cdf
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 200, "threshold solve did not end within 200 CDF evaluations"
+        return real_weighted_cdf(*args)
+
+    monkeypatch.setattr(classifier, "weighted_cdf", counted)
+    model = ClassifierModel(
+        positive=ParametricScores(family, loc=loc + 2.0, scale=1.0),
+        negative=ParametricScores(family, loc=loc, scale=1.0),
+    )
+    flow = _flow(4e3, 4e7 - 4e3)
+    cm = solve_operating_point(model, flow, reduction).confusion
+    assert cm.tp + cm.fp == pytest.approx(flow.rate / reduction, rel=1e-9)
+
+
 def test_roc_moves_monotonically_with_threshold():
     model = ClassifierModel(
         positive=ParametricScores("normal", loc=1.5, scale=1.0),
@@ -298,7 +326,7 @@ def test_empirical_operating_point_hits_rate_exactly():
 
 def test_empirical_scores_are_immutable_and_sorted():
     dist = EmpiricalScores.from_samples(np.linspace(5.0, 0.0, 1500))
-    assert dist.support() == (0.0, 5.0)
+    assert (dist.values[0], dist.values[-1]) == (0.0, 5.0)
     assert list(dist.values) == sorted(dist.values) and len(dist.values) == 1500
     with pytest.raises(dataclasses.FrozenInstanceError):
         dist.values = ()
@@ -356,7 +384,7 @@ def test_empirical_atoms_match_the_sorted_sample_array(case, shift, qs):
         assert dist.atom_mass(z) == (right - left) / n
     for q in qs + [0.0, 1.0, 1 / n, 0.5, (n - 1) / n]:
         assert dist.quantile(q) == ref[max(0, min(n - 1, math.ceil(q * n) - 1))]
-    assert dist.support() == (ref[0], ref[-1])
+    assert (dist.values[0], dist.values[-1]) == (ref[0], ref[-1])
     assert dist.mean() == pytest.approx(float(ref.mean()), rel=1e-12, abs=1e-12)
 
 
@@ -383,7 +411,6 @@ def test_parametric_closed_forms_equal_scipy_stats_bitwise(family):
         for q in qs:
             assert _bits(ours.quantile(q)) == _bits(ref.ppf(q)), (q, loc, scale)
         assert _bits(ours.mean()) == _bits(ref.mean())
-        assert [_bits(x) for x in ours.support()] == [_bits(x) for x in ref.support()]
 
 
 def test_validation_errors():
@@ -426,6 +453,6 @@ def test_uniform_family_support_and_solving():
         positive=ParametricScores("uniform", loc=1.0, scale=2.0),
         negative=ParametricScores("uniform", loc=0.0, scale=2.0),
     )
-    assert model.positive.support() == (1.0, 3.0)
+    assert model.positive.cdf(1.0) == 0.0 and model.positive.cdf(3.0) == 1.0
     op = solve_operating_point(model, _flow(1e3, 9e3), reduction_target=5.0)
     assert op.confusion.tp + op.confusion.fp == pytest.approx(1e4 / 5.0, rel=1e-12)

@@ -23,7 +23,7 @@ CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
 # skill axis and variant machinery reachable
 FULL = """\
 schema_version: 1
-conditions: {pileup: 1, reference_pileup: 1}
+conditions: {pileup: 1}
 nodes:
   - {kind: sensor, id: s, sample_size: "1 kb", sample_rate: "1 MHz", relevant_fraction: 0.3}
   - kind: process
@@ -67,7 +67,7 @@ def test_validate_rejects_broken_topology(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(
         "schema_version: 1\n"
-        "conditions: {pileup: 1, reference_pileup: 1}\n"
+        "conditions: {pileup: 1}\n"
         "nodes:\n"
         '  - {kind: sensor, id: s, sample_size: "1 kb", sample_rate: "1 kHz"}\n'
         "  - {kind: output, id: out}\n"
@@ -78,6 +78,26 @@ def test_validate_rejects_broken_topology(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "invalid graph" in err and "ghost" in err
+
+
+def test_validate_rejects_a_role_held_by_two_nodes(tmp_path, capsys):
+    path = tmp_path / "two_l1t.cfg"
+    path.write_text(
+        FULL.replace(
+            "  - {kind: output, id: out}\n",
+            "  - {kind: process, id: sel2, role: l1t, complexity: {form: constant, value: 1},"
+            ' energy_per_op: "1 pJ/op", output_size: {form: linear, slope: 1}}\n'
+            "  - {kind: output, id: out}\n",
+        ).replace(
+            "  - {id: b, source: sel, target: out,",
+            "  - {id: c, source: sel2, target: out, energy_per_bit: \"1 pJ/bit\","
+            " bandwidth_per_channel: \"1 Gb/s\"}\n"
+            "  - {id: b, source: sel, target: sel2,",
+        )
+    )
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid graph" in err and "role 'l1t' is assigned to multiple nodes" in err
 
 
 def test_zero_power_law_reference_is_a_located_error(tmp_path, capsys):
@@ -294,7 +314,7 @@ def test_costs_csv(full_cfg, tmp_path):
 def test_report_prefixes_table_and_label(tmp_path, capsys):
     mini = (
         "schema_version: 1\n"
-        "conditions: {pileup: 1, reference_pileup: 1}\n"
+        "conditions: {pileup: 1}\n"
         "nodes:\n"
         '  - {kind: sensor, id: s, sample_size: "1 kb", sample_rate: "1 kHz", relevant_fraction: 0.5}\n'
         "  - {kind: output, id: out}\n"
@@ -327,7 +347,7 @@ def test_strict_escalates_model_warnings(tmp_path, capsys):
     clamped = tmp_path / "clamped.cfg"
     clamped.write_text(
         "schema_version: 1\n"
-        "conditions: {pileup: 200, reference_pileup: 50}\n"
+        "conditions: {pileup: 200}\n"
         "nodes:\n"
         "  - kind: sensor\n"
         "    id: s\n"

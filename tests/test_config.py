@@ -16,7 +16,7 @@ CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
 
 MINIMAL = """\
 schema_version: 1
-conditions: {pileup: 1, reference_pileup: 1}
+conditions: {pileup: 1}
 nodes:
   - {kind: sensor, id: s, sample_size: "1 kb", sample_rate: "1 kHz"}
   - {kind: output, id: out}
@@ -41,7 +41,7 @@ def test_minimal_config_parses_with_defaults():
 def test_all_problems_reported_with_locations():
     bad = (
         "schema_version: 1\n"
-        "conditions: {pileup: 1, reference_pileup: 1}\n"
+        "conditions: {pileup: 1}\n"
         "nodes:\n"
         '  - {kind: sensor, id: s, sample_size: 1000, sample_rate: "1 kHz"}\n'
         "  - {kind: output, id: out}\n"
@@ -135,6 +135,26 @@ def test_non_finite_inputs_are_located_errors(tmp_path, override, problem):
     assert msg.startswith(problem)
 
 
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        ("seeds: {calibraton: 5}", "seeds: unknown field 'calibraton'"),
+        ("seeds: {calibration: -1}", "seeds.calibration: must be >= 0"),
+        ("conditions: {reference_pileup: 60}", "conditions: unknown field 'reference_pileup'"),
+        ("sweep: {pileup: [60, lots]}", "sweep.pileup[1]: expected a number, got 'lots'"),
+        ("sweep: {variants: [none, gpu_hlt+warp]}", "sweep.variants[1]: unknown variant 'warp'"),
+    ],
+)
+def test_unread_and_bad_keys_are_located_errors(tmp_path, override, problem):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\n{override}\n")
+    with pytest.raises(ConfigError) as ei:
+        load_config(path)
+    [(loc, msg)] = ei.value.locations
+    assert loc == "bad.cfg:2"
+    assert msg.startswith(problem)
+
+
 class _PureTaggedLoader(yaml.SafeLoader):
     """The tagged loader as built when PyYAML has no libyaml."""
 
@@ -176,8 +196,8 @@ def test_yaml_syntax_errors_name_a_line_under_each_loader(loader, monkeypatch):
 
 def test_ratios_accept_fractions_and_colons():
     text = MINIMAL.replace(
-        "conditions: {pileup: 1, reference_pileup: 1}",
-        'conditions: {pileup: 1, reference_pileup: 1, l1_reduction: "160/3", hlt_reduction: "400:1"}',
+        "conditions: {pileup: 1}",
+        'conditions: {pileup: 1, l1_reduction: "160/3", hlt_reduction: "400:1"}',
     )
     cfg = parse_config(text)
     assert cfg.conditions.l1_reduction == pytest.approx(160.0 / 3.0, rel=1e-15)
@@ -193,8 +213,10 @@ def test_sweep_axes_default_to_as_configured():
 
 
 def test_sweep_variant_combos_are_validated():
-    ok = parse_config(MINIMAL + 'sweep:\n  variants: ["none", "gpu_hlt+l1_tracks"]\n')
-    assert ok.sweep.variants == ("none", "gpu_hlt+l1_tracks")
+    ok = parse_config(
+        MINIMAL + 'sweep:\n  variants: ["none", "gpu_hlt+l1_tracks", " smart_pixels + gpu_hlt "]\n'
+    )
+    assert ok.sweep.variants == ((), ("gpu_hlt", "l1_tracks"), ("smart_pixels", "gpu_hlt"))
     with pytest.raises(ConfigError, match="unknown variant 'warp_drive'"):
         parse_config(MINIMAL + 'sweep:\n  variants: ["warp_drive"]\n')
 
@@ -215,8 +237,8 @@ def test_extends_merges_child_over_parent(tmp_path):
         "schema_version: 1\n"
         "description: parent\n"
         "seeds: {calibration: 7}\n"
-        "conditions: {pileup: 60, reference_pileup: 60, l1_reduction: 400}\n"
-        + MINIMAL.split("conditions: {pileup: 1, reference_pileup: 1}\n", 1)[1]
+        "conditions: {pileup: 60, l1_reduction: 400}\n"
+        + MINIMAL.split("conditions: {pileup: 1}\n", 1)[1]
     )
     (tmp_path / "child.cfg").write_text(
         "extends: parent.cfg\ndescription: child\nconditions: {pileup: 200}\n"
@@ -224,8 +246,7 @@ def test_extends_merges_child_over_parent(tmp_path):
     cfg = load_config(tmp_path / "child.cfg")
     assert cfg.description == "child"  # scalar replaced
     assert cfg.conditions.pileup == 200.0  # overridden key
-    assert cfg.conditions.reference_pileup == 60.0  # sibling keys survive the merge
-    assert cfg.conditions.l1_reduction == 400.0
+    assert cfg.conditions.l1_reduction == 400.0  # sibling keys survive the merge
     assert cfg.seeds == {"calibration": 7}
     assert len(cfg.nodes) == 2  # topology inherited wholesale
 
@@ -263,7 +284,6 @@ description: every key
 seeds: {calibration: 5}
 conditions:
   pileup: 80
-  reference_pileup: 60
   bunch_rate: "30 MHz"
   l1_reduction: "160/3"
   hlt_reduction: "50:1"

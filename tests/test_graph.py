@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,6 +275,12 @@ def test_validation_catalog():
         ),
     )
     assert any("cycle" in v for v in validate_graph(cycle).violations)
+
+    two_l1t = PipelineGraph(
+        nodes=(sen, replace(proc, role="l1t"), replace(p2, role="l1t"), out),
+        links=(_link("a", "sen", "proc"), _link("b", "proc", "p2"), _link("c", "p2", "out")),
+    )
+    assert validate_graph(two_l1t).violations == ("role 'l1t' is assigned to multiple nodes",)
 
     s2 = SensorNode(id="s2", sample_size=1.0, sample_rate=1e6)
     into_sensor = PipelineGraph(

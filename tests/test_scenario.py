@@ -36,7 +36,7 @@ from daqflow.scenario import (
 
 def test_conditions_are_identity_at_reference(eval_fixture):
     g = eval_fixture("cms_run3").graph
-    assert apply_conditions(g, ExperimentConditions(pileup=60, reference_pileup=60)) == g
+    assert apply_conditions(g, ExperimentConditions(pileup=60)) == g
 
 
 def test_pileup_gated_sensor_appears_with_its_links(load_fixture):
@@ -89,7 +89,7 @@ def test_out_of_domain_scaling_table_warns_and_clamps():
         ),
     )
     with pytest.warns(ModelWarning, match="outside the scaling"):
-        scaled = apply_conditions(g, ExperimentConditions(pileup=200, reference_pileup=50))
+        scaled = apply_conditions(g, ExperimentConditions(pileup=200))
     assert scaled.node("s").sample_size == 2000.0  # clamped to the table edge
 
 
@@ -132,8 +132,8 @@ def test_guards_reject_non_finite_values():
     nan, inf = math.nan, math.inf
     curve = EfficiencyCurve("x", threshold=30.0, width=2.0, plateau=0.9)
     for build in (
-        lambda: ExperimentConditions(pileup=nan, reference_pileup=60.0),
-        lambda: ExperimentConditions(pileup=60.0, reference_pileup=60.0, bunch_rate=inf),
+        lambda: ExperimentConditions(pileup=nan),
+        lambda: ExperimentConditions(pileup=60.0, bunch_rate=inf),
         lambda: TechnologyEra(year=2030, efficiency_factor=nan),
         lambda: GpuHlt(throughput_gain=inf),
         lambda: L1Tracks(skill_factor=nan),
@@ -281,7 +281,7 @@ def test_parallel_sweep_matches_serial(sweep_rows_pair):
 def test_sweep_rows_fail_individually():
     text = (
         "schema_version: 1\n"
-        "conditions: {pileup: 1, reference_pileup: 1}\n"
+        "conditions: {pileup: 1}\n"
         "nodes:\n"
         '  - {kind: sensor, id: s, sample_size: "1 kb", sample_rate: "1 kHz"}\n'
         "  - {kind: output, id: out}\n"
@@ -309,6 +309,7 @@ def test_one_overflowing_point_does_not_abort_the_sweep(load_fixture):
     ]
     for row in rows[2:]:
         assert row.error.startswith("ModelError: OverflowError: ")
+        assert row.error.endswith("(node 'hlt')")
         assert row.power_w is None
     seed = cfg.seeds["calibration"]
     for row, skill in zip(rows[:2], (0.0, 1.0)):
