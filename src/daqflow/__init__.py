@@ -17,7 +17,6 @@ Typical use:
 from .calibration import (
     EfficiencyCurve,
     MenuSpec,
-    MomentumDistribution,
     TriggerPath,
     build_menu,
     fit_lambda,
@@ -124,7 +123,7 @@ __all__ = [
     "weighted_cdf", "solve_threshold", "confusion_at_threshold",
     "solve_operating_point", "apply_skill",
     # calibration
-    "EfficiencyCurve", "MomentumDistribution", "TriggerPath", "MenuSpec",
+    "EfficiencyCurve", "TriggerPath", "MenuSpec",
     "trigger_rate", "fit_lambda", "sample_scores", "build_menu",
     # graph
     "SensorNode", "ProcessNode", "OutputNode", "CommLink", "PipelineGraph",

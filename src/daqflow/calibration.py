@@ -31,17 +31,16 @@ import functools
 import math
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .classifier import MIN_EMPIRICAL_SAMPLES, ClassifierModel, EmpiricalScores
+from .classifier import ClassifierModel, EmpiricalScores
 from .errors import FitInfeasibleError, QuadratureError
 
 __all__ = [
     "EfficiencyCurve",
-    "MomentumDistribution",
     "TriggerPath",
     "MenuSpec",
     "trigger_rate",
@@ -63,7 +62,6 @@ class EfficiencyCurve:
     width = 0 degenerates to a step at the threshold.
     """
 
-    object_name: str
     threshold: float  # GeV
     width: float  # GeV
     plateau: float
@@ -85,23 +83,11 @@ class EfficiencyCurve:
 
 
 @dataclass(frozen=True)
-class MomentumDistribution:
-    """Exponential momentum spectrum with rate parameter lam (1/GeV)."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-
-
-@dataclass(frozen=True)
 class TriggerPath:
     object_name: str
     curve: EfficiencyCurve
     empirical_rate: float  # Hz
     input_rate: float  # Hz
-    momentum: MomentumDistribution | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.input_rate):
@@ -186,8 +172,8 @@ def trigger_rate(path: TriggerPath, lam: float) -> float:
     return path.input_rate * total
 
 
-def fit_lambda(path: TriggerPath) -> MomentumDistribution:
-    """Invert the monotone lam -> rate map onto the measured path rate.
+def fit_lambda(path: TriggerPath) -> float:
+    """Invert the monotone lam -> rate map onto the measured path rate; lam in 1/GeV.
 
     The rate is strictly decreasing in lam, so once the target lies between
     the rates at the ends of FIT_BRACKET, Brent's method (scipy brentq) finds
@@ -226,7 +212,7 @@ def fit_lambda(path: TriggerPath) -> MomentumDistribution:
             f"path {path.object_name!r}: Brent's method stopped at lam={lam:.9g} "
             f"({result.flag}; rate {rate:.6g} Hz vs target {target:.6g} Hz)"
         )
-    return MomentumDistribution(lam)
+    return lam
 
 
 # === score sampling ===
@@ -250,98 +236,80 @@ def _momenta_above(u: np.ndarray, lam: float, threshold: float) -> np.ndarray:
 
 def sample_scores(
     paths: list[TriggerPath] | tuple[TriggerPath, ...],
+    lams: list[float] | tuple[float, ...],
     mode: str,
     n: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
 ) -> tuple[EmpiricalScores, EmpiricalScores]:
     """Monte Carlo the (negative, positive) empirical score distributions.
 
+    lams holds each path's fitted spectrum slope (1/GeV), in path order.
     Negative samples are events with every object below its path threshold;
     positive samples have at least one object above.  In "summed" mode the
     per-path detection outcomes of one event add into a single scalar score;
     in "one-at-a-time" mode each path contributes its own scores to the
     pooled populations without summation.  Both modes return n negative and
     n positive samples and coincide exactly for a single-path menu.
-
-    Per path the draw order is fixed: negative-block momenta, negative-block
-    detection outcomes, then the positive-side blocks in the same order.
     """
-    paths = tuple(paths)
-    if n < MIN_EMPIRICAL_SAMPLES:
-        raise ValueError(f"need n >= {MIN_EMPIRICAL_SAMPLES} samples")
-    for path in paths:
-        if path.momentum is None:
-            raise ValueError(f"path {path.object_name!r} has no fitted momentum distribution")
+    fitted = tuple(zip(paths, lams, strict=True))
+    for path, lam in fitted:
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"path {path.object_name!r}: lam must be finite and > 0, got {lam}")
     if mode == "summed":
-        negative, positive = _sample_summed(paths, n, seed)
+        above = _above_subsets(fitted, n, seed)
+        negative, positive = np.zeros(n), np.zeros(n)
+        for i, (path, lam) in enumerate(fitted):
+            neg, pos = _detections(path, lam, seed, above[:, i])
+            negative += neg
+            positive += pos
     elif mode == "one-at-a-time":
-        negative, positive = _sample_one_at_a_time(paths, n, seed)
+        # n split over the k paths, the first n % k one larger; positives all above threshold
+        shares = np.array_split(np.ones(n, dtype=bool), len(fitted))
+        parts = [_detections(path, lam, seed, above) for (path, lam), above in zip(fitted, shares)]
+        negative, positive = (np.concatenate(side) for side in zip(*parts))
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return EmpiricalScores.from_samples(negative), EmpiricalScores.from_samples(positive)
 
 
-def _sample_summed(paths, n: int, seed: int):
-    k = len(paths)
+def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
+    """(n, k) booleans: per positive event, the paths whose object lands above threshold.
+
+    Each event draws a non-empty subset S with P(S) ~ prod_in(a) * prod_out(1 - a),
+    where a = exp(-lam * threshold) is the path's chance of an object above.
+    """
+    k = len(fitted)
     if k > 20:
         raise ValueError("summed mode enumerates 2^k - 1 subsets; menu too large")
-    above_prob = np.array([math.exp(-p.momentum.lam * p.curve.threshold) for p in paths])
-
-    # Choose, per positive event, the non-empty subset of paths whose object
-    # lands above threshold: P(S) ~ prod_in(a) * prod_out(1 - a).
+    above_prob = np.array([math.exp(-lam * path.curve.threshold) for path, lam in fitted])
     masks = np.array([[(s + 1) >> i & 1 for i in range(k)] for s in range(2**k - 1)], dtype=bool)
     weights = np.prod(np.where(masks, above_prob, 1.0 - above_prob), axis=1)
     weights /= weights.sum()
-    event_rng = _substream(seed, "__event__")
-    subset = event_rng.choice(len(weights), size=n, p=weights)
-    above = masks[subset]  # (n, k) booleans
-
-    neg_total = np.zeros(n)
-    pos_total = np.zeros(n)
-    for i, path in enumerate(paths):
-        rng = _substream(seed, path.object_name)
-        lam = path.momentum.lam
-        threshold = path.curve.threshold
-
-        u = rng.random(n)
-        neg_momenta = _momenta_below(u, lam, threshold)
-        neg_total += rng.random(n) < path.curve(neg_momenta)
-
-        u = rng.random(n)
-        pos_momenta = np.where(
-            above[:, i],
-            _momenta_above(u, lam, threshold),
-            _momenta_below(u, lam, threshold),
-        )
-        pos_total += rng.random(n) < path.curve(pos_momenta)
-    return neg_total, pos_total
+    subset = _substream(seed, "__event__").choice(len(weights), size=n, p=weights)
+    return masks[subset]
 
 
-def _sample_one_at_a_time(paths, n: int, seed: int):
-    k = len(paths)
-    counts = [n // k + (1 if i < n % k else 0) for i in range(k)]
-    neg_parts = []
-    pos_parts = []
-    for path, count in zip(paths, counts):
-        rng = _substream(seed, path.object_name)
-        lam = path.momentum.lam
-        threshold = path.curve.threshold
+def _detections(
+    path: TriggerPath, lam: float, seed: int, above: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One path's (negative, positive) detection outcomes, len(above) of each.
 
-        u = rng.random(count)
-        neg_momenta = _momenta_below(u, lam, threshold)
-        neg_parts.append((rng.random(count) < path.curve(neg_momenta)).astype(float))
-
-        u = rng.random(count)
-        pos_momenta = _momenta_above(u, lam, threshold)
-        pos_parts.append((rng.random(count) < path.curve(pos_momenta)).astype(float))
-    return np.concatenate(neg_parts), np.concatenate(pos_parts)
+    Negative momenta lie below the threshold; positive ones lie above it
+    where `above` is true and below it elsewhere.  The draw order is fixed:
+    negative-block momenta, their detection outcomes, then the positive
+    blocks in the same order.
+    """
+    rng = _substream(seed, path.object_name)
+    threshold, count = path.curve.threshold, len(above)
+    u = rng.random(count)
+    negative = rng.random(count) < path.curve(_momenta_below(u, lam, threshold))
+    u = rng.random(count)
+    momenta = np.where(above, _momenta_above(u, lam, threshold), _momenta_below(u, lam, threshold))
+    return negative, rng.random(count) < path.curve(momenta)
 
 
 def build_menu(menu: MenuSpec, seed: int = 0) -> ClassifierModel:
     """Fit every path's spectrum, sample scores, return the classifier model."""
-    fitted = tuple(
-        path if path.momentum is not None else replace(path, momentum=fit_lambda(path))
-        for path in menu.paths
-    )
-    negative, positive = sample_scores(fitted, menu.mode, menu.sample_count, seed)
+    lams = [fit_lambda(path) for path in menu.paths]
+    negative, positive = sample_scores(menu.paths, lams, menu.mode, menu.sample_count, seed)
     return ClassifierModel(positive=positive, negative=negative, skill_factor=1.0)

@@ -55,6 +55,9 @@ _FAMILIES = {
 # Empirical quantiles need enough samples to be stable.
 MIN_EMPIRICAL_SAMPLES = 1000
 
+# Width in score units at which the continuous threshold bisection stops.
+THRESHOLD_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ParametricScores:
@@ -195,18 +198,12 @@ def weighted_cdf(model: ClassifierModel, n_true: float, n_false: float, z: float
     return (n_true * model.positive.cdf(z) + n_false * model.negative.cdf(z)) / total
 
 
-def solve_threshold(
-    model: ClassifierModel,
-    flow,
-    rejection_fraction: float,
-    *,
-    tol: float = 1e-9,
-) -> float:
+def solve_threshold(model: ClassifierModel, flow, rejection_fraction: float) -> float:
     """Find z_T with weighted_cdf(z_T) equal to rejection_fraction.
 
     Continuous models: bisection between the two populations' own quantiles
-    at the target, which bracket the mixture's, until the bracket is `tol`
-    wide in score units or no float lies inside it; returns the bracket's
+    at the target, which bracket the mixture's, until the bracket is
+    THRESHOLD_TOL wide in score units or no float lies inside it; returns the bracket's
     lower end.  Empirical models: the smallest score value of either
     population whose weighted step CDF reaches the target (right-continuous
     convention).
@@ -228,9 +225,9 @@ def solve_threshold(
     lo, hi = sorted(
         (model.positive.quantile(rejection_fraction), model.negative.quantile(rejection_fraction))
     )
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: tol is below the score's resolution
+        if not lo < mid < hi:  # adjacent floats: the tolerance is below the score's resolution
             break
         if weighted_cdf(model, n_true, n_false, mid) < rejection_fraction:
             lo = mid
@@ -280,6 +277,8 @@ def solve_operating_point(model: ClassifierModel, flow, reduction_target: float)
         raise OperatingPointError(f"reduction target must exceed 1, got {reduction_target}")
     keep_target = 1.0 / reduction_target
     rejection = 1.0 - keep_target
+    if rejection == 1.0:
+        raise OperatingPointError(f"reduction target {reduction_target:g} exceeds double precision")
     z_t = solve_threshold(model, flow, rejection)
 
     n_true, n_false = flow.n_true, flow.n_false

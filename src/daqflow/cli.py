@@ -57,6 +57,12 @@ def _si(value: float, unit: str) -> str:
 COSTS_COLUMNS = ("e_tp_j", "e_tn_j", "e_fp_j", "e_fn_j", "tn_tp_ratio", "degenerate")
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daqflow",
@@ -74,7 +80,7 @@ def _parser() -> argparse.ArgumentParser:
             "--strict", action="store_true", help="treat model warnings as errors"
         )
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker processes")
+            p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
 
     p_validate = sub.add_parser("validate", help="parse a config and check the graph")
     p_validate.add_argument("config", help="path to a .cfg file")

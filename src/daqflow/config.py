@@ -217,9 +217,7 @@ class _ListOf:
 
 
 def _trigger_path(object_name, threshold, width, plateau, empirical_rate, input_rate):
-    curve = EfficiencyCurve(
-        object_name=object_name, threshold=threshold, width=width, plateau=plateau
-    )
+    curve = EfficiencyCurve(threshold=threshold, width=width, plateau=plateau)
     return TriggerPath(
         object_name=object_name,
         curve=curve,

@@ -432,7 +432,7 @@ def sweep(cfg, *, jobs: int = 1, seed: int | None = None) -> list[ResultRow]:
 
     Points fail individually: a failed point carries its error message in
     the row and the sweep continues.  jobs > 1 distributes points over
-    processes; results come back in grid order either way.
+    processes, at most one per point; results come back in grid order.
     """
     axes = getattr(cfg, "sweep", None)
     if axes is None:
@@ -444,7 +444,8 @@ def sweep(cfg, *, jobs: int = 1, seed: int | None = None) -> list[ResultRow]:
             axes.pileup, axes.reduction, axes.skill, axes.variants
         )
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(points))  # the pool starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points))
     return [_sweep_point(p) for p in points]

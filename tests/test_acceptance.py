@@ -13,7 +13,6 @@ import pytest
 
 from daqflow.calibration import (
     EfficiencyCurve,
-    MomentumDistribution,
     TriggerPath,
     fit_lambda,
     sample_scores,
@@ -143,7 +142,7 @@ def test_criterion_6_spectrum_fit_round_trip_and_determinism():
     bit-identical.
     """
     input_rate, plateau, turn_on = 40e6, 0.95, 30.0
-    step = EfficiencyCurve("mu", threshold=turn_on, width=0.0, plateau=plateau)
+    step = EfficiencyCurve(threshold=turn_on, width=0.0, plateau=plateau)
     r0 = input_rate * plateau
 
     for lam in np.geomspace(1e-3, 1.0, 7):
@@ -154,19 +153,17 @@ def test_criterion_6_spectrum_fit_round_trip_and_determinism():
         recovered = math.log(r0 / rate_closed) / turn_on
         assert math.isclose(recovered, lam, rel_tol=1e-6)
         fitted = fit_lambda(path)
-        assert math.isclose(fitted.lam, lam, rel_tol=1e-3), (
-            f"fit returned {fitted.lam} for lam={lam}"
+        assert math.isclose(fitted, lam, rel_tol=1e-3), (
+            f"fit returned {fitted} for lam={lam}"
         )
 
-    smooth = EfficiencyCurve("eg", threshold=20.0, width=3.0, plateau=0.9)
+    smooth = EfficiencyCurve(threshold=20.0, width=3.0, plateau=0.9)
     paths = (
-        TriggerPath("mu", step, empirical_rate=1e4, input_rate=input_rate,
-                    momentum=MomentumDistribution(0.12)),
-        TriggerPath("eg", smooth, empirical_rate=5e5, input_rate=input_rate,
-                    momentum=MomentumDistribution(0.21)),
+        TriggerPath("mu", step, empirical_rate=1e4, input_rate=input_rate),
+        TriggerPath("eg", smooth, empirical_rate=5e5, input_rate=input_rate),
     )
-    first = sample_scores(paths, "summed", n=20_000, seed=20240)
-    second = sample_scores(paths, "summed", n=20_000, seed=20240)
+    first = sample_scores(paths, (0.12, 0.21), "summed", n=20_000, seed=20240)
+    second = sample_scores(paths, (0.12, 0.21), "summed", n=20_000, seed=20240)
     for a, b, side in zip(first, second, ("negative", "positive")):
         assert a == b, f"{side} scores differ across runs"
 

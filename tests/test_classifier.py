@@ -255,9 +255,9 @@ def test_skill_zero_levels_the_means_of_the_bundled_menus(load_fixture):
     # the shifted mean lands within rounding of the negative one, on either side
     menus = load_fixture("cms_base").menus
     for menu in menus.values():
-        fitted = tuple(dataclasses.replace(p, momentum=fit_lambda(p)) for p in menu.paths)
+        lams = [fit_lambda(p) for p in menu.paths]
         for seed in range(20):
-            negative, positive = sample_scores(fitted, menu.mode, menu.sample_count, seed)
+            negative, positive = sample_scores(menu.paths, lams, menu.mode, menu.sample_count, seed)
             level = apply_skill(ClassifierModel(positive, negative), 0.0)
             assert level.skill_factor == 0.0
             assert level.positive.mean() == pytest.approx(negative.mean(), rel=1e-12)

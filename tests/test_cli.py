@@ -169,6 +169,23 @@ def test_model_failures_end_as_one_error_line(tmp_path, capsys, body, cause):
     assert line.startswith(f"error: {cause}")
 
 
+def test_a_reduction_target_past_double_precision_is_named(tmp_path, capsys):
+    # 1 - 1/R rounds to 1 for R above ~1.8e16: the error names the target the
+    # user set, not the rejection fraction derived from it
+    cfg_path = _extending_base(tmp_path, "conditions: {l1_reduction: 1.0e+17}\n")
+    assert main(["run", str(cfg_path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert "node 'l1t'" in line and "reduction target 1e+17" in line
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", str(CONFIG_DIR / "cms_sweep.cfg"), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+
 def test_skill_zero_runs_and_meets_the_audit_identities(tmp_path, capsys):
     cfg_path = _extending_base(
         tmp_path, "variants: {l1_tracks: {enabled: true, skill_factor: 0.0}}\n"

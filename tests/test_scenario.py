@@ -130,7 +130,7 @@ def test_era_validation():
 
 def test_guards_reject_non_finite_values():
     nan, inf = math.nan, math.inf
-    curve = EfficiencyCurve("x", threshold=30.0, width=2.0, plateau=0.9)
+    curve = EfficiencyCurve(threshold=30.0, width=2.0, plateau=0.9)
     for build in (
         lambda: ExperimentConditions(pileup=nan),
         lambda: ExperimentConditions(pileup=60.0, bunch_rate=inf),
@@ -141,7 +141,7 @@ def test_guards_reject_non_finite_values():
         lambda: SensorNode("s", sample_size=1.0, sample_rate=inf),
         lambda: ProcessNode("p", ConstantFn(0.0), nan, ConstantFn(0.0)),
         lambda: CommLink("l", "a", "b", nan, 1e9),
-        lambda: EfficiencyCurve("x", threshold=inf, width=2.0, plateau=0.9),
+        lambda: EfficiencyCurve(threshold=inf, width=2.0, plateau=0.9),
         lambda: TriggerPath("x", curve, empirical_rate=1.0, input_rate=inf),
     ):
         with pytest.raises(ValueError, match="finite"):
@@ -276,6 +276,30 @@ def test_sweep_walks_the_grid_in_order(sweep_rows_pair):
 def test_parallel_sweep_matches_serial(sweep_rows_pair):
     serial, parallel = sweep_rows_pair
     assert parallel == serial
+
+
+def test_sweep_starts_no_more_workers_than_points(load_fixture, sweep_rows_pair, monkeypatch):
+    # the pool starts all of its workers at the first submit; this stand-in
+    # records the count and maps in this process, so no process starts
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", InProcessPool)
+    rows = sweep(load_fixture("cms_sweep"), jobs=64)
+    assert started == [4]  # the bundled grid has four points
+    assert rows == sweep_rows_pair[0]
 
 
 def test_sweep_rows_fail_individually():
