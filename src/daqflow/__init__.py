@@ -41,7 +41,6 @@ from .config import (
     SweepAxes,
     load_config,
     parse_config,
-    serialize_config,
 )
 from .energy import (
     EnergyLedger,
@@ -102,14 +101,14 @@ from .scenario import (
     evaluate,
     sweep,
 )
-from .units import UnitError, format_quantity, parse_quantity, parse_ratio
+from .units import UnitError, parse_quantity, parse_ratio
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # units
-    "UnitError", "parse_quantity", "format_quantity", "parse_ratio",
+    "UnitError", "parse_quantity", "parse_ratio",
     # errors
     "DaqflowError", "ConfigError", "ModelError", "ModelWarning",
     "GraphValidationError", "FlowConsistencyError", "OperatingPointError",
@@ -142,5 +141,5 @@ __all__ = [
     "evaluate", "sweep", "ResultRow", "EvaluationResult",
     # config
     "ModelConfig", "SweepAxes", "ReportSpec",
-    "load_config", "parse_config", "serialize_config",
+    "load_config", "parse_config",
 ]

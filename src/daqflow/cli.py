@@ -57,10 +57,16 @@ def _si(value: float, unit: str) -> str:
 COSTS_COLUMNS = ("e_tp_j", "e_tn_j", "e_fp_j", "e_fn_j", "tn_tp_ratio", "degenerate")
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+def _int_from(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def read(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    read.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return read
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -75,12 +81,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to a .cfg file")
         p.add_argument("--out", help="output file or directory (default: $DAQFLOW_OUT if set)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-        p.add_argument("--seed", type=int, default=None, help="calibration seed override")
+        p.add_argument("--seed", type=_int_from(0), help="calibration seed override")
         p.add_argument(
             "--strict", action="store_true", help="treat model warnings as errors"
         )
         if jobs:
-            p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+            p.add_argument("--jobs", type=_int_from(1), default=1, help="worker processes")
 
     p_validate = sub.add_parser("validate", help="parse a config and check the graph")
     p_validate.add_argument("config", help="path to a .cfg file")

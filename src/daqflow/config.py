@@ -1,4 +1,4 @@
-"""Strict YAML-based .cfg parsing, building, and serialization.
+"""Strict YAML-based .cfg parsing into a ModelConfig.
 
 A config file declares one complete scenario: the pipeline topology, trigger
 menus, beam conditions, hardware era, upgrade variants, and optionally sweep
@@ -7,25 +7,23 @@ carry a unit suffix, unknown fields are rejected, non-finite numbers are
 refused, and all problems are collected and reported together with
 file:line locations instead of stopping at the first one.
 
-Every table-shaped section (seeds, conditions, era, variants, trigger paths,
-menus, function and scaling forms, nodes, links, sweep, report) is described
-once, as a _Table of _Field records.  _read_table() walks a table to check a
-mapping and build its object; _write_table() walks the same table to emit the
-object again.
+The file and every table-shaped section in it (seeds, conditions, era,
+variants, calibration and its menus, trigger paths, function and scaling
+forms, nodes, links, sweep, report) is described once, as a _Table of _Field
+records, and _read_table() walks a table to check a mapping and build its
+object.  Three checks stay outside the tables: `extends`, the schema_version
+value, and one pass over the nodes that resolves each `classifier:` name
+against calibration.menus and applies the stage-mode rule.
 
 A file may name a single parent via `extends:`; the child's sections are
 deep-merged over the parent's (scalars and lists replace, mappings merge).
 Parents may not themselves extend.
-
-serialize_config() emits canonical YAML that parses back into an equal
-config, so programmatic edits can round-trip through files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from pathlib import Path
 
 import yaml
@@ -52,7 +50,7 @@ from .scenario import (
     TechnologyEra,
     VariantConfig,
 )
-from .units import KINDS, UnitError, format_quantity, parse_quantity, parse_ratio
+from .units import KINDS, UnitError, parse_quantity, parse_ratio
 
 __all__ = [
     "ModelConfig",
@@ -62,7 +60,6 @@ __all__ = [
     "ReportRow",
     "load_config",
     "parse_config",
-    "serialize_config",
     "SCHEMA_VERSION",
 ]
 
@@ -161,13 +158,6 @@ def _check_fields(ctx: _Ctx, mapping: dict, section: str, allowed, required=()) 
     return ok
 
 
-def _expect_mapping(ctx: _Ctx, value, section: str, loc: str) -> dict:
-    if not isinstance(value, dict):
-        ctx.error(loc, f"{section}: expected a mapping, got {type(value).__name__}")
-        return {_LOC: loc}
-    return value
-
-
 # === section tables ===
 
 
@@ -175,18 +165,19 @@ def _expect_mapping(ctx: _Ctx, value, section: str, loc: str) -> dict:
 class _Field:
     """One key of a table-shaped section.
 
-    attr is the attribute the writer reads, dotted for a nested object; its
-    last component is the keyword the table's constructor takes.  attr None
-    marks a key the section accepts but its object does not hold; the caller
-    reads that key itself.  kind is "number", "int", "bool", "str", "ratio",
-    "bits" (a size string or a bare number of bits), "variants" (names joined
-    by '+', or 'none'; read as a tuple of names), "config" (a path to another
-    config, read as the resolved path), a units.KINDS name, or a nested
-    _Table, _OneOf or _ListOf.  minimum is an inclusive lower bound.
+    arg is the keyword the table's constructor takes; None marks a key the
+    section accepts but its object does not hold, which the caller reads
+    itself.  kind is "number", "int", "bool", "str", "text" (a string that
+    may be empty), "ratio", "bits" (a size string or a bare number of bits),
+    "variants" (names joined by '+', or 'none'; read as a tuple of names),
+    "config" (a path to another config, read as the resolved path), a
+    units.KINDS name, a nested _Table, _OneOf, _ListOf or _MapOf, or None (the
+    value as written, for the caller to check).  minimum is an inclusive
+    lower bound.
     """
 
     key: str
-    attr: str | None
+    arg: str | None
     kind: object
     default: object = None
     required: bool = False
@@ -194,13 +185,18 @@ class _Field:
 
 
 class _Table:
-    def __init__(self, build, fields: tuple[_Field, ...]):
-        self.build = build  # class, or function taking the fields as keywords
+    """A section's fields and the constructor that takes them as keywords.
+
+    A table marked lenient reads a value that is not a mapping as an empty
+    one after reporting it, so its missing required keys are reported too.
+    """
+
+    def __init__(self, build, fields: tuple[_Field, ...], lenient: bool = False):
+        self.build = build
         self.fields = fields
         self.keys = {f.key for f in fields}
         self.required = tuple(f.key for f in fields if f.required)
-        # (field, constructor keyword or None) in field order
-        self.slots = tuple((f, f.attr and f.attr.rpartition(".")[2]) for f in fields)
+        self.lenient = lenient
 
 
 @dataclass(frozen=True)
@@ -216,14 +212,16 @@ class _ListOf:
     item: object
 
 
+@dataclass(frozen=True)
+class _MapOf:
+    """A mapping of named items; each key reaches the item's table as `name`."""
+
+    item: _Table
+
+
 def _trigger_path(object_name, threshold, width, plateau, empirical_rate, input_rate):
     curve = EfficiencyCurve(threshold=threshold, width=width, plateau=plateau)
-    return TriggerPath(
-        object_name=object_name,
-        curve=curve,
-        empirical_rate=empirical_rate,
-        input_rate=input_rate,
-    )
+    return TriggerPath(object_name, curve, empirical_rate=empirical_rate, input_rate=input_rate)
 
 
 _CONDITIONS = _Table(ExperimentConditions, (
@@ -262,14 +260,14 @@ _VARIANTS = _Table(VariantConfig, (
 
 _PATH = _Table(_trigger_path, (
     _Field("name", "object_name", "str", required=True),
-    _Field("threshold", "curve.threshold", "momentum", required=True),
-    _Field("width", "curve.width", "momentum", required=True),
-    _Field("plateau", "curve.plateau", "number", required=True),
+    _Field("threshold", "threshold", "momentum", required=True),
+    _Field("width", "width", "momentum", required=True),
+    _Field("plateau", "plateau", "number", required=True),
     _Field("empirical_rate", "empirical_rate", "rate", required=True),
     _Field("input_rate", "input_rate", "rate", required=True),
 ))
 
-# the menu's name is its key under calibration.menus, passed in by the caller
+# the menu's name is its key under calibration.menus, passed in by _MapOf
 _MENU = _Table(MenuSpec, (
     _Field("mode", "mode", "str", required=True),
     # the sampler itself refuses fewer samples; catch that here with a location
@@ -279,6 +277,12 @@ _MENU = _Table(MenuSpec, (
     ),
     _Field("paths", "paths", _ListOf(_PATH), required=True),
 ))
+
+_CALIBRATION = _Table(
+    lambda menus: menus,
+    (_Field("menus", "menus", _MapOf(_MENU), required=True),),
+    lenient=True,
+)
 
 _FUNCTION = _OneOf("form", {
     "constant": _Table(ConstantFn, (
@@ -331,7 +335,7 @@ _NODE = _OneOf("kind", {
         _Field("complexity", "complexity", _FUNCTION, required=True),
         _Field("energy_per_op", "energy_per_op", "energy_per_op", required=True),
         _Field("output_size", "output_size", _FUNCTION, required=True),
-        _Field("classifier", None, "str"),  # a calibration.menus name, see _read_nodes
+        _Field("classifier", None, "str"),  # a calibration.menus name, see _classifier_refs
         _Field("reduction_target", "reduction_target", "ratio"),
         _Field("unit_power", "unit_power_w", "power"),
         _CONSTANT_POWER,
@@ -427,6 +431,10 @@ def _read_scalar(kind: str, v, base_dir: Path | None):
         if not isinstance(v, str) or not v:
             raise ValueError(f"expected a non-empty string, got {v!r}")
         return v
+    if kind == "text":
+        if not isinstance(v, str):
+            raise ValueError(f"expected a string, got {v!r}")
+        return v
     if kind == "int":
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"expected an integer, got {v!r}")
@@ -481,6 +489,8 @@ def _exponent_hint(v) -> str:
 
 def _read_value(ctx: _Ctx, kind, v, loc: str, where: str):
     """Read one value of any kind; _BAD (with the problem recorded) on failure."""
+    if kind is None:
+        return v
     if isinstance(kind, str):
         try:
             value = _read_scalar(kind, v, ctx.base_dir)
@@ -493,10 +503,10 @@ def _read_value(ctx: _Ctx, kind, v, loc: str, where: str):
         return value
     if isinstance(kind, _Table):
         return _read_table(ctx, kind, v, where, loc)
+    if isinstance(kind, (_OneOf, _MapOf)) and not isinstance(v, dict):
+        ctx.error(loc, f"{where}: expected a mapping, got {type(v).__name__}")
+        return _BAD
     if isinstance(kind, _OneOf):
-        if not isinstance(v, dict):
-            ctx.error(loc, f"{where}: expected a mapping, got {type(v).__name__}")
-            return _BAD
         if kind.tag not in v:
             ctx.error(_loc(v), f"{where}: missing required field {kind.tag!r}")
             return _BAD
@@ -505,104 +515,99 @@ def _read_value(ctx: _Ctx, kind, v, loc: str, where: str):
             ctx.error(_loc(v), f"{where}.{kind.tag}: unknown {kind.tag} {v[kind.tag]!r}")
             return _BAD
         return _read_table(ctx, table, v, where, loc, tag=kind.tag)
+    if isinstance(kind, _MapOf):
+        # a bad item stays _BAD in place, so _classifier_refs still checks the others
+        return {
+            name: _read_table(ctx, kind.item, x, f"{where}.{name}", _loc(v), name=name)
+            for name, x in v.items()
+            if name != _LOC
+        }
     # _ListOf
     if not isinstance(v, list) or not v:
         ctx.error(loc, f"{where}: expected a non-empty list")
         return _BAD
-    items = [_read_value(ctx, kind.item, x, loc, f"{where}[{i}]") for i, x in enumerate(v)]
+    items = [_read_value(ctx, kind.item, x, loc, _item_name(where, i, x)) for i, x in enumerate(v)]
     return _BAD if any(x is _BAD for x in items) else tuple(items)
+
+
+def _item_name(where: str, i: int, raw) -> str:
+    """A list item's label; an item with a string id carries it, as in nodes[3] (l1t)."""
+    item_id = raw.get("id") if isinstance(raw, dict) else None
+    return f"{where}[{i}] ({item_id})" if isinstance(item_id, str) else f"{where}[{i}]"
+
+
+def _read_fields(ctx: _Ctx, table: _Table, mapping: dict, where: str, tag=None):
+    """(constructor keywords, whether every field read) for a mapping.
+
+    Reports unknown and missing keys and one problem per bad field, which is
+    left out of the keywords.  An empty `where` reads the file itself.
+    """
+    loc = _loc(mapping)
+    allowed = table.keys if tag is None else table.keys | {tag}
+    ok = _check_fields(ctx, mapping, where or "config", allowed, table.required)
+    prefix = f"{where}." if where else ""
+    kwargs = {}
+    for f in table.fields:
+        if f.key not in mapping:
+            value = f.default
+        else:
+            value = _read_value(ctx, f.kind, mapping[f.key], loc, prefix + f.key)
+            if value is not _BAD and f.minimum is not None and value < f.minimum:
+                ctx.error(loc, f"{prefix}{f.key}: must be >= {f.minimum}, got {value!r}")
+                value = _BAD
+        if value is _BAD:
+            ok = False
+        elif f.arg is not None:
+            kwargs[f.arg] = value
+    return kwargs, ok
 
 
 def _read_table(ctx: _Ctx, table: _Table, mapping, where: str, loc: str, tag=None, **fixed):
     """Check a mapping against a table and build its object.
 
-    Reports unknown and missing keys and one problem per bad field; the
-    object is built only when every field read cleanly, so a bad field
-    never causes a follow-on error from a stand-in value.
+    Only a mapping whose every field read is built, so a bad field never
+    causes a follow-on error from a stand-in value.
     """
     if not isinstance(mapping, dict):
         ctx.error(loc, f"{where}: expected a mapping, got {type(mapping).__name__}")
-        return _BAD
-    loc = _loc(mapping)
-    allowed = table.keys if tag is None else table.keys | {tag}
-    ok = _check_fields(ctx, mapping, where, allowed, table.required)
-    kwargs = dict(fixed)
-    for f, name in table.slots:
-        if f.key not in mapping:
-            value = f.default
-        else:
-            value = _read_value(ctx, f.kind, mapping[f.key], loc, f"{where}.{f.key}")
-            if value is not _BAD and f.minimum is not None and value < f.minimum:
-                ctx.error(loc, f"{where}.{f.key}: must be >= {f.minimum}, got {value!r}")
-                value = _BAD
-        if value is _BAD:
-            ok = False
-        elif name is not None:
-            kwargs[name] = value
+        if not table.lenient:
+            return _BAD
+        mapping = {_LOC: loc}
+    kwargs, ok = _read_fields(ctx, table, mapping, where, tag)
     if not ok:
         return _BAD
     try:
-        return table.build(**kwargs)
+        return table.build(**fixed, **kwargs)
     except ValueError as exc:
-        ctx.error(loc, f"{where}: {exc}")
+        ctx.error(_loc(mapping), f"{where}: {exc}")
         return _BAD
 
 
-def _list_section(ctx: _Ctx, data: dict, key: str) -> list:
-    raw = data.get(key)
-    if key in data and (not isinstance(raw, list) or not raw):
-        ctx.error(_loc(data), f"{key}: expected a non-empty list")
-    return raw if isinstance(raw, list) else []
+def _classifier_refs(ctx: _Ctx, raw_nodes, menus) -> list[tuple[str, str]]:
+    """(node id, menu name) per process node naming a menu; checks each name.
 
-
-def _item_name(section: str, i: int, raw) -> str:
-    item_id = raw.get("id") if isinstance(raw, dict) else None
-    return f"{section}[{i}] ({item_id})" if isinstance(item_id, str) else f"{section}[{i}]"
-
-
-def _read_menus(ctx: _Ctx, data: dict) -> dict:
-    if "calibration" not in data:
-        return {}
-    cal = _expect_mapping(ctx, data["calibration"], "calibration", _loc(data))
-    _check_fields(ctx, cal, "calibration", allowed={"menus"}, required=("menus",))
-    menus_map = _expect_mapping(ctx, cal.get("menus", {}), "calibration.menus", _loc(cal))
-    return {
-        name: _read_table(
-            ctx, _MENU, raw, f"calibration.menus.{name}", _loc(menus_map), name=name
-        )
-        for name, raw in menus_map.items()
-        if name != _LOC
-    }
-
-
-def _read_nodes(ctx: _Ctx, data: dict, menus: dict):
-    """Nodes, plus the classifier menu each process node references."""
-    nodes = []
-    classifier_refs: dict[str, str] = {}
-    for i, raw in enumerate(_list_section(ctx, data, "nodes")):
-        where = _item_name("nodes", i, raw)
-        node = _read_value(ctx, _NODE, raw, _loc(data), where)
-        if node is _BAD:
+    Walks the nodes as written, so a node with another bad field still has
+    its menu checked.  A stage role needs the menu mode _STAGE_MODES gives.
+    """
+    menus = menus if isinstance(menus, dict) else {}
+    refs = []
+    for i, raw in enumerate(raw_nodes if isinstance(raw_nodes, list) else ()):
+        if not isinstance(raw, dict) or raw.get("kind") != "process":
             continue
-        nodes.append(node)
-        menu_name = raw.get("classifier") if isinstance(node, ProcessNode) else None
-        if menu_name is None:
+        name = raw.get("classifier")
+        if not isinstance(name, str) or not name:
+            continue  # absent, or already reported by the node's table
+        where = f"{_item_name('nodes', i, raw)}.classifier"
+        if name not in menus:
+            ctx.error(_loc(raw), f"{where}: menu {name!r} is not defined under calibration.menus")
             continue
-        if menu_name not in menus:
-            ctx.error(
-                _loc(raw),
-                f"{where}.classifier: menu {menu_name!r} is not defined under calibration.menus",
-            )
-            continue
-        classifier_refs[node.id] = menu_name
-        mode, stage = _STAGE_MODES.get(node.role, (None, None))
-        menu = menus[menu_name]
-        if mode is not None and menu is not _BAD and menu.mode != mode:
-            ctx.error(
-                _loc(raw),
-                f"{where}.classifier: {stage} menu {menu_name!r} must use {mode} scores",
-            )
-    return tuple(nodes), classifier_refs
+        refs.append((raw.get("id"), name))
+        role = raw.get("role")
+        if isinstance(role, str) and role in _STAGE_MODES and menus[name] is not _BAD:
+            mode, stage = _STAGE_MODES[role]
+            if menus[name].mode != mode:
+                ctx.error(_loc(raw), f"{where}: {stage} menu {name!r} must use {mode} scores")
+    return refs
 
 
 @dataclass(frozen=True)
@@ -636,78 +641,31 @@ class ModelConfig:
         return PipelineGraph(nodes=nodes, links=self.links)
 
 
-_TOP_LEVEL = {
-    "schema_version",
-    "description",
-    "seeds",
-    "conditions",
-    "era",
-    "variants",
-    "nodes",
-    "links",
-    "calibration",
-    "sweep",
-    "report",
-}
+# The file itself; classifier_refs and source_path come from outside the table.
+_CONFIG = _Table(ModelConfig, (
+    _Field("schema_version", "schema_version", None, required=True),  # see _build_config
+    _Field("description", "description", "text", default=""),
+    _Field("seeds", "seeds", _SEEDS, default={}),
+    _Field("conditions", "conditions", _CONDITIONS, required=True),
+    _Field("era", "era", _ERA, default=TechnologyEra(year=2024, efficiency_factor=1.0)),
+    _Field("variants", "variants", _VARIANTS, default=VariantConfig()),
+    _Field("calibration", "menus", _CALIBRATION, default={}),
+    _Field("nodes", "nodes", _ListOf(_NODE), required=True),
+    _Field("links", "links", _ListOf(_LINK), required=True),
+    _Field("sweep", "sweep", _SWEEP),
+    _Field("report", "report", _REPORT),
+))
 
 
 def _build_config(data: dict, base_dir: Path | None, source: str | None) -> ModelConfig:
     ctx = _Ctx(base_dir)
-    _check_fields(
-        ctx,
-        data,
-        "config",
-        allowed=_TOP_LEVEL,
-        required=("schema_version", "conditions", "nodes", "links"),
-    )
+    kwargs, _ = _read_fields(ctx, _CONFIG, data, "")
     version = data.get("schema_version")
     if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
-        ctx.error(
-            _loc(data),
-            f"schema_version: expected {SCHEMA_VERSION}, got {version!r}",
-        )
-        version = SCHEMA_VERSION
-
-    description = data.get("description", "")
-    if not isinstance(description, str):
-        ctx.error(_loc(data), f"description: expected a string, got {description!r}")
-        description = ""
-
-    def section(key, table, default):
-        return _read_value(ctx, table, data[key], _loc(data), key) if key in data else default
-
-    seeds = section("seeds", _SEEDS, {})
-    conditions = section("conditions", _CONDITIONS, _BAD)
-    era = section("era", _ERA, TechnologyEra(year=2024, efficiency_factor=1.0))
-    variants = section("variants", _VARIANTS, VariantConfig())
-    menus = _read_menus(ctx, data)
-    nodes, classifier_refs = _read_nodes(ctx, data, menus)
-    links = tuple(
-        link
-        for link in (
-            _read_value(ctx, _LINK, raw, _loc(data), _item_name("links", i, raw))
-            for i, raw in enumerate(_list_section(ctx, data, "links"))
-        )
-        if link is not _BAD
-    )
-    sweep_axes = section("sweep", _SWEEP, None)
-    report = section("report", _REPORT, None)
+        ctx.error(_loc(data), f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    refs = _classifier_refs(ctx, data.get("nodes"), kwargs.get("menus"))
     ctx.fail_if_errors()
-    return ModelConfig(
-        schema_version=version,
-        conditions=conditions,
-        era=era,
-        variants=variants,
-        nodes=nodes,
-        links=links,
-        classifier_refs=classifier_refs,
-        menus=menus,
-        seeds=seeds,
-        description=description,
-        sweep=sweep_axes,
-        report=report,
-        source_path=source,
-    )
+    return _CONFIG.build(**kwargs, classifier_refs=dict(refs), source_path=source)
 
 
 def _resolve_extends(data: dict, base_dir: Path | None, filename: str) -> dict:
@@ -747,67 +705,3 @@ def parse_config(text: str, *, base_dir=None, filename: str = "<config>") -> Mod
     data = _resolve_extends(data, base, filename)
     return _build_config(data, base_dir=base, source=None)
 
-
-# === generic writer ===
-
-
-def _write_value(kind, value):
-    if isinstance(kind, _Table):
-        return _write_table(kind, value)
-    if isinstance(kind, _OneOf):
-        for tag, table in kind.tables.items():
-            if type(value) is table.build:
-                return {kind.tag: tag, **_write_table(table, value)}
-        raise ConfigError(f"cannot serialize {type(value).__name__} as a config {kind.tag}")
-    if isinstance(kind, _ListOf):
-        return [_write_value(kind.item, v) for v in value]
-    if kind == "variants":
-        return "+".join(value) or "none"
-    if kind == "bits":
-        return format_quantity(value, "size")
-    if kind in KINDS:
-        return format_quantity(value, kind)
-    return value
-
-
-def _write_table(table: _Table, obj) -> dict:
-    """Emit the object's fields; optional fields at their default are left out."""
-    out = {}
-    for f in table.fields:
-        if f.attr is None:
-            continue
-        value = attrgetter(f.attr)(obj)
-        if f.required or value != f.default:
-            out[f.key] = _write_value(f.kind, value)
-    return out
-
-
-def serialize_config(cfg: ModelConfig) -> str:
-    """Emit canonical YAML that parses back into an equal ModelConfig."""
-    data: dict = {"schema_version": cfg.schema_version}
-    if cfg.description:
-        data["description"] = cfg.description
-    if cfg.seeds:
-        data["seeds"] = dict(cfg.seeds)
-    data["conditions"] = _write_table(_CONDITIONS, cfg.conditions)
-    data["era"] = _write_table(_ERA, cfg.era)
-    data["variants"] = _write_table(_VARIANTS, cfg.variants)
-
-    data["nodes"] = []
-    for n in cfg.nodes:
-        spec = _write_value(_NODE, n)
-        if n.id in cfg.classifier_refs:
-            spec["classifier"] = cfg.classifier_refs[n.id]
-        data["nodes"].append(spec)
-    data["links"] = [_write_table(_LINK, link) for link in cfg.links]
-
-    if cfg.menus:
-        menus = {name: _write_table(_MENU, menu) for name, menu in cfg.menus.items()}
-        data["calibration"] = {"menus": menus}
-
-    if cfg.sweep is not None:
-        data["sweep"] = _write_table(_SWEEP, cfg.sweep)
-    if cfg.report is not None:
-        data["report"] = _write_table(_REPORT, cfg.report)
-
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)

@@ -10,9 +10,9 @@ costs price what a kept or discarded message is worth in joules.
 Cost conventions:
 
 - a true positive costs the mean total energy at the output (the full chain),
-- a true negative costs the discard-weighted mean total energy over the
-  classifier nodes, weighted by how many irrelevant messages each one
-  rejects (the energy those messages had already consumed when dropped),
+- a true negative costs the total energy at each classifier node (every
+  fragment merged into the dropped event included), averaged over the
+  classifiers by how many irrelevant messages each one rejects,
 - a false positive wastes what the full chain adds beyond a justified
   discard, e_fp = e_tp - e_tn,
 - a false negative costs the dropped message's own spend plus the work
@@ -122,10 +122,13 @@ def mean_total_energy(
 ) -> float:
     """Expected accumulated energy of a message at node_id.
 
-    Predecessor totals are weighted by the message rate each incoming link
-    delivers; synchronized fan-in makes the weights equal, while independent
-    streams (at the output) weight by traffic share.
+    Inside the pipeline a message is one synchronized event, so a merge
+    carries every fragment's spend: the path sum `ledger.totals`.  Only the
+    output archives its incoming streams independently; there the
+    predecessor totals are weighted by each stream's share of the traffic.
     """
+    if not isinstance(graph.node(node_id), OutputNode):
+        return ledger.totals[node_id]
     incoming = graph.links_in(node_id)
     e = ledger.node_energy[node_id]
     if not incoming:

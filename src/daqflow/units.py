@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = ["UnitError", "parse_quantity", "format_quantity", "parse_ratio", "KINDS"]
+__all__ = ["UnitError", "parse_quantity", "parse_ratio", "KINDS"]
 
 
 class UnitError(ValueError):
@@ -95,12 +95,6 @@ def parse_quantity(value: object, kind: str) -> float:
         known = ", ".join(sorted(table))
         raise UnitError(f"unknown {kind} unit {unit!r} in {value!r}; expected one of: {known}")
     return float(magnitude) * table[unit]
-
-
-def format_quantity(value: float, kind: str) -> str:
-    """Format a canonical value back into a parseable string (round-trip safe)."""
-    canonical, _ = KINDS[kind]
-    return f"{value!r} {canonical}"
 
 
 def parse_ratio(value: object) -> float:

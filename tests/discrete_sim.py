@@ -15,9 +15,11 @@ error-class costs agree within 3 sigma of the Monte Carlo error (plus a
 tiny float-arithmetic allowance for the deterministic quantities).
 
 random_pipeline() generates the graphs this oracle is meant for: at most
-five nodes, parametric score models, fan-in fed directly by sensors (so the
-mean-energy weighting at a merge has nothing upstream to weight), and a
-single stream into the output.
+five nodes, parametric score models, fan-in fed directly by sensors, and a
+single stream into the output.  Its sensors draw no constant power, so at
+a merge the predecessors have spent nothing and a path sum cannot be told
+from a mean; test_energy's fan-in classifier graph gives its sensors a draw
+to check that a discard at a merge carries every fragment's spend.
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, output files, formats."""
 
+import copy
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import daqflow
 from daqflow.cli import COSTS_COLUMNS, main
@@ -184,6 +190,70 @@ def test_jobs_below_one_is_a_usage_error(capsys):
             main(["sweep", str(CONFIG_DIR / "cms_sweep.cfg"), "--jobs", jobs])
         assert exit_info.value.code == 2
         assert "--jobs: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    for seed in ("-1", "-5"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(CONFIG_DIR / "cms_sweep.cfg"), "--seed", seed])
+        assert exit_info.value.code == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
+def _key_paths(obj, prefix=()):
+    """Every key and list index path in a parsed YAML document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _key_paths(v, prefix + (k,))
+
+
+_BASE = yaml.safe_load((CONFIG_DIR / "cms_base.cfg").read_text())
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)  # libyaml's is ~4x faster
+_DELETE = object()
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(list(_key_paths(_BASE))),
+        st.sampled_from(
+            [_DELETE, None, 5, -1, "x", "", [], {}, [1], True, 1.0e300, math.nan, "3 furlongs"]
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MUTATIONS)
+# values the node pass must not hash or call .get on; nodes[7] is l1t
+@example([(("nodes", 7, "role"), [1])])
+@example([(("nodes", 7, "kind"), {})])
+@example([(("nodes", 7, "classifier"), [1])])
+@example([(("nodes", 7, "id"), []), (("nodes", 8), "x")])
+@example([(("calibration", "menus", "l1_menu"), [1])])
+@example([(("calibration",), None), (("nodes",), {})])
+def test_validate_survives_mutated_configs(mutations):
+    # each mutation deletes a key or overwrites a value of cms_base.cfg;
+    # validate must end in a verdict (0) or a located config error (2)
+    data = copy.deepcopy(_BASE)
+    for path, value in mutations:
+        parent = data
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this path
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "mutated.cfg"
+        cfg_path.write_text(yaml.dump(data, Dumper=_DUMPER, sort_keys=False))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["validate", str(cfg_path)])
+    assert code in (0, 2)
 
 
 def test_skill_zero_runs_and_meets_the_audit_identities(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Config parsing: strictness, locations, extends, round-tripping."""
+"""Config parsing: strictness, locations, extends, every key's value."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,37 @@ import yaml
 
 import daqflow
 from daqflow import config
+from daqflow.calibration import EfficiencyCurve, MenuSpec, TriggerPath
 from daqflow.classifier import EmpiricalScores
-from daqflow.config import SCHEMA_VERSION, load_config, parse_config, serialize_config
+from daqflow.config import (
+    SCHEMA_VERSION,
+    ModelConfig,
+    ReportRow,
+    ReportSpec,
+    ReportTable,
+    SweepAxes,
+    load_config,
+    parse_config,
+)
 from daqflow.errors import ConfigError
-from daqflow.graph import ProcessNode
+from daqflow.functions import (
+    ConstantFn,
+    ConstantScaling,
+    LinearFn,
+    PowerLawFn,
+    ProportionalScaling,
+    TableFn,
+    TableScaling,
+)
+from daqflow.graph import CommLink, OutputNode, ProcessNode, SensorNode
+from daqflow.scenario import (
+    ExperimentConditions,
+    GpuHlt,
+    L1Tracks,
+    SmartPixels,
+    TechnologyEra,
+    VariantConfig,
+)
 
 CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
 
@@ -268,14 +296,6 @@ def test_missing_config_file():
         load_config("/no/such/place.cfg")
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
-def test_serialization_round_trips(name, load_fixture):
-    cfg = load_fixture(name)
-    text = serialize_config(cfg)
-    again = parse_config(text, base_dir=CONFIG_DIR)
-    assert again == cfg
-
-
 # Every optional key of every section at a non-default value, every function
 # and scaling form, and table xs given both as numbers and as size strings.
 ALL_KEYS = """\
@@ -371,20 +391,127 @@ report:
 """
 
 
-def _keys(obj) -> set:
-    if isinstance(obj, dict):
-        return set(obj).union(*map(_keys, obj.values()))
-    if isinstance(obj, list):
-        return set().union(*map(_keys, obj))
-    return set()
+def _path(name, threshold, width, plateau, empirical_rate, input_rate):
+    curve = EfficiencyCurve(threshold=threshold, width=width, plateau=plateau)
+    return TriggerPath(name, curve, empirical_rate=empirical_rate, input_rate=input_rate)
 
 
-def test_every_key_and_form_round_trips():
+def _link(id, source, target, pj_per_bit, gbit_per_s):
+    return CommLink(id, source, target, pj_per_bit * 1e-12, gbit_per_s * 1e9)
+
+
+# ALL_KEYS as written out by hand: every unit converted, every key in its field
+ALL_KEYS_VALUE = ModelConfig(
+    schema_version=1,
+    description="every key",
+    seeds={"calibration": 5},
+    conditions=ExperimentConditions(
+        pileup=80.0,
+        bunch_rate=30e6,
+        l1_reduction=160 / 3,
+        hlt_reduction=50.0,
+        relevant_fraction=0.002,
+    ),
+    era=TechnologyEra(year=2030, efficiency_factor=2.5, baseline_year=2020, scale_links=True),
+    variants=VariantConfig(
+        gpu_hlt=GpuHlt(enabled=True, throughput_gain=0.7, unit_power_w=300.0),
+        l1_tracks=L1Tracks(enabled=True, skill_factor=1.2),
+        smart_pixels=SmartPixels(enabled=True, data_reduction=0.4, detector_power_w=1000.0),
+    ),
+    nodes=(
+        SensorNode(
+            id="pix",
+            role="inner_tracker",
+            sample_size=16000.0,
+            sample_rate=30e6,
+            relevant_fraction=0.01,
+            pileup_scaling=ProportionalScaling(reference=60.0),
+            enabled_min_pileup=10.0,
+            constant_power_w=5.0,
+        ),
+        SensorNode(
+            id="cal",
+            sample_size=1000.0,
+            sample_rate=30e6,
+            pileup_scaling=TableScaling(pileups=(20.0, 100.0), multipliers=(0.5, 2.0)),
+        ),
+        SensorNode(id="mu", sample_size=1000.0, sample_rate=30e6, pileup_scaling=ConstantScaling()),
+        ProcessNode(
+            id="ro",
+            role="readout",
+            complexity=ConstantFn(value=2.0),
+            energy_per_op=1e-12,
+            output_size=TableFn(xs=(0.0, 2000.0, 1e6), ys=(0.0, 1500.0, 9e5)),
+            constant_power_w=3.0,
+        ),
+        ProcessNode(
+            id="l1",
+            role="l1t",
+            complexity=LinearFn(slope=2.0, intercept=5.0),
+            energy_per_op=2e-12,
+            output_size=PowerLawFn(exponent=1.0, value_at_reference=1000.0, reference=1000.0),
+            reduction_target=10.0,
+            unit_power_w=100.0,
+        ),
+        ProcessNode(
+            id="hl",
+            role="hlt",
+            complexity=LinearFn(slope=3.0),
+            energy_per_op=3e-12,
+            output_size=LinearFn(slope=1.0),
+            reduction_target=20.0,
+        ),
+        OutputNode(id="out"),
+    ),
+    links=(
+        _link("a", "pix", "ro", 1, 1),
+        _link("b", "cal", "ro", 1, 1),
+        _link("c", "mu", "ro", 1, 1),
+        _link("d", "ro", "l1", 2, 10),
+        _link("e", "l1", "hl", 3, 10),
+        _link("f", "hl", "out", 4, 10),
+    ),
+    classifier_refs={"l1": "l1_menu", "hl": "hlt_menu"},
+    menus={
+        "l1_menu": MenuSpec(
+            name="l1_menu",
+            mode="summed",
+            sample_count=2000,
+            paths=(
+                _path("eg", 30.0, 3.0, 0.9, 150e3, 30e6),
+                _path("mu", 0.5, 0.0, 1.0, 100e3, 30e6),
+            ),
+        ),
+        "hlt_menu": MenuSpec(
+            name="hlt_menu",
+            mode="one-at-a-time",
+            sample_count=3000,
+            paths=(_path("h", 125.0, 4.0, 0.95, 67.0, 100e3),),
+        ),
+    },
+    sweep=SweepAxes(
+        pileup=(60.0, 80.0),
+        reduction=(160 / 3, 400.0),
+        skill=(1.0, 1.5),
+        variants=((), ("gpu_hlt", "l1_tracks")),
+    ),
+    report=ReportSpec(
+        tables=(
+            ReportTable(
+                title="T",
+                rows=(ReportRow("L", str((CONFIG_DIR / "cms_run3.cfg").resolve())),),
+            ),
+        ),
+    ),
+)
+
+
+def test_every_key_and_form_parses_to_its_value():
+    # a key swapped into another field, or dropped from the schema, fails here
     cfg = parse_config(ALL_KEYS, base_dir=CONFIG_DIR)
-    text = serialize_config(cfg)
-    assert parse_config(text, base_dir=CONFIG_DIR) == cfg
-    # the writer leaves out only default values, and the fixture sets none
-    assert _keys(yaml.safe_load(text)) == _keys(yaml.safe_load(ALL_KEYS))
+    for f in fields(ModelConfig):
+        assert getattr(cfg, f.name) == getattr(ALL_KEYS_VALUE, f.name), f.name
+    assert cfg == ALL_KEYS_VALUE
 
 
 def test_build_graph_attaches_fitted_classifiers(load_fixture):

@@ -218,6 +218,32 @@ def test_cascade_error_costs_match_message_walk():
     )
 
 
+def test_fan_in_classifier_discard_carries_every_fragment():
+    # two sensors each spend 1 mJ per event (1 kW at 1 MHz) and merge into
+    # one classifier: a discarded event has spent 2 mJ, not the 1 mJ mean
+    sensor = dict(sample_size=1000.0, sample_rate=1e6, relevant_fraction=0.2, constant_power_w=1e3)
+    g = PipelineGraph(
+        nodes=(
+            SensorNode(id="s0", **sensor),
+            SensorNode(id="s1", **sensor),
+            ProcessNode(
+                id="p", complexity=ConstantFn(0.0), energy_per_op=0.0,
+                output_size=LinearFn(slope=1.0), classifier=_classifier(),
+                reduction_target=4.0,
+            ),
+            OutputNode(id="out"),
+        ),
+        links=(_link("a", "s0", "p"), _link("b", "s1", "p"), _link("c", "p", "out", e=1e-12)),
+    )
+    assert discrete_sim.compare(g, n_events=1_000_000, seed=5) == []
+
+    a = propagate_flows(g)
+    led = build_ledger(g, a)
+    assert total_energy(g, led, "p") == pytest.approx(2e-3, rel=1e-12)
+    assert mean_total_energy(g, led, a, "p") == total_energy(g, led, "p")
+    assert error_costs(g, led, a).e_tn_j == pytest.approx(2e-3, rel=1e-12)
+
+
 def test_energy_balance_reproduces_total_power(eval_fixture):
     for name in ("cms_run3", "cms_run5_phase1"):
         res = eval_fixture(name)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from daqflow.units import UnitError, format_quantity, parse_quantity, parse_ratio
+from daqflow.units import UnitError, parse_quantity, parse_ratio
 
 
 def test_size_units_are_decimal_bits():
@@ -53,11 +53,6 @@ def test_malformed_quantity():
         parse_quantity("3.0.2 Hz", "rate")
     with pytest.raises(UnitError):
         parse_quantity(None, "rate")
-
-
-def test_format_round_trips():
-    for value, kind in ((40e6, "rate"), (22e-12, "energy_per_bit"), (15999000.0, "size")):
-        assert parse_quantity(format_quantity(value, kind), kind) == value
 
 
 def test_parse_ratio_forms():
