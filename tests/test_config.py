@@ -296,6 +296,61 @@ def test_missing_config_file():
         load_config("/no/such/place.cfg")
 
 
+def _raw_config(name: str) -> dict:
+    """A bundled file as plain YAML, its `extends` parent deep-merged under it."""
+
+    def merge(parent, child):
+        out = dict(parent)
+        for key, value in child.items():
+            both = isinstance(value, dict) and isinstance(out.get(key), dict)
+            out[key] = merge(out[key], value) if both else value
+        return out
+
+    raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+    parent = raw.pop("extends", None)
+    return merge(yaml.safe_load((CONFIG_DIR / parent).read_text()), raw) if parent else raw
+
+
+_KINDS = {SensorNode: "sensor", ProcessNode: "process", OutputNode: "output"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_bundled_config_reads_its_file(name, load_fixture):
+    # Every item of the file lands in the config in order, under its own name.
+    raw = _raw_config(name)
+    cfg = load_fixture(name.removesuffix(".cfg"))
+    assert cfg.description == raw["description"]
+    assert cfg.seeds == raw["seeds"]
+    assert cfg.conditions.pileup == raw["conditions"]["pileup"]
+    assert cfg.era.year == raw["era"]["year"]
+    for variant, spec in raw["variants"].items():
+        assert getattr(cfg.variants, variant).enabled is spec["enabled"]
+    assert [(_KINDS[type(n)], n.id, getattr(n, "role", None)) for n in cfg.nodes] == [
+        (n["kind"], n["id"], n.get("role")) for n in raw["nodes"]
+    ]
+    assert [(l.id, l.source, l.target) for l in cfg.links] == [
+        (l["id"], l["source"], l["target"]) for l in raw["links"]
+    ]
+    assert cfg.classifier_refs == {n["id"]: n["classifier"] for n in raw["nodes"] if "classifier" in n}
+    menus = raw["calibration"]["menus"]
+    assert {
+        key: (m.name, m.mode, m.sample_count, [p.object_name for p in m.paths])
+        for key, m in cfg.menus.items()
+    } == {
+        key: (key, m["mode"], m["sample_count"], [p["name"] for p in m["paths"]])
+        for key, m in menus.items()
+    }
+    assert (cfg.sweep is None) == ("sweep" not in raw)
+    if "report" in raw:
+        assert [(t.title, [(r.label, Path(r.config_path).name) for r in t.rows])
+                for t in cfg.report.tables] == [
+            (t["title"], [(r["label"], r["config"]) for r in t["rows"]])
+            for t in raw["report"]["tables"]
+        ]
+    else:
+        assert cfg.report is None
+
+
 # Every optional key of every section at a non-default value, every function
 # and scaling form, and table xs given both as numbers and as size strings.
 ALL_KEYS = """\
