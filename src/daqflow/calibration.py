@@ -23,6 +23,17 @@ crc32(path_name))) and subset choices for positive events come from a
 dedicated event stream SeedSequence((seed, crc32("__event__"))), so sampling
 is bit-identical across runs and platforms for a given seed, regardless of
 path iteration order.
+
+Calibrate once: `build_menu` keeps two bounded least-recently-used memos.
+A fitted lam depends only on its TriggerPath (it has no seed), so a menu
+built at a new seed re-samples but never re-fits; the model depends only on
+(MenuSpec, seed).  Both keys are frozen dataclasses and both values are
+immutable, so a hit hands back the very object a miss built, bit for bit.
+A miss calls `fit_lambda` and `sample_scores` through their module names; a
+failed fit or sample raises again on every call, since nothing is stored
+for it.  `fit_lambda` and `sample_scores` themselves never consult the
+memos.  `clear_caches()` empties both, for a caller that patches this
+module's functions and needs its next build to see the patch.
 """
 
 from __future__ import annotations
@@ -34,7 +45,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .classifier import ClassifierModel, EmpiricalScores
 from .errors import FitInfeasibleError, QuadratureError
@@ -47,12 +57,18 @@ __all__ = [
     "fit_lambda",
     "sample_scores",
     "build_menu",
+    "clear_caches",
 ]
 
 # lam search bracket for the rate fit, in 1/GeV
 FIT_BRACKET = (1e-6, 10.0)
 FIT_RATE_RTOL = 1e-4
 DEFAULT_SAMPLE_COUNT = 50_000
+
+# Memo bounds: a stream of never-repeating menus (a generated-menu study)
+# stays at constant memory.  A model is a few score atoms, a fit one float.
+MODEL_CACHE_SIZE = 64
+LAMBDA_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,8 @@ class EfficiencyCurve:
     def __call__(self, p):
         if self.width == 0.0:
             return self.plateau * (np.asarray(p, dtype=float) > self.threshold)
+        from scipy.special import expit  # imported here: `import daqflow` loads no scipy
+
         return self.plateau * expit((np.asarray(p, dtype=float) - self.threshold) / self.width)
 
 
@@ -309,7 +327,26 @@ def _detections(
 
 
 def build_menu(menu: MenuSpec, seed: int = 0) -> ClassifierModel:
-    """Fit every path's spectrum, sample scores, return the classifier model."""
-    lams = [fit_lambda(path) for path in menu.paths]
+    """Fit every path's spectrum, sample scores, return the classifier model.
+
+    Memoised per (menu, seed), and each fit per path; see the module notes.
+    """
+    return _built_menu(menu, seed)
+
+
+@functools.lru_cache(maxsize=LAMBDA_CACHE_SIZE)
+def _fitted_lambda(path: TriggerPath) -> float:
+    return fit_lambda(path)
+
+
+@functools.lru_cache(maxsize=MODEL_CACHE_SIZE)
+def _built_menu(menu: MenuSpec, seed: int) -> ClassifierModel:
+    lams = [_fitted_lambda(path) for path in menu.paths]
     negative, positive = sample_scores(menu.paths, lams, menu.mode, menu.sample_count, seed)
     return ClassifierModel(positive=positive, negative=negative, skill_factor=1.0)
+
+
+def clear_caches() -> None:
+    """Empty both calibration memos: fitted lam per path and model per (menu, seed)."""
+    _fitted_lambda.cache_clear()
+    _built_menu.cache_clear()

@@ -25,7 +25,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import DegeneratePopulationError, OperatingPointError
 
@@ -43,14 +42,32 @@ __all__ = [
 ]
 
 
-# Standard form (loc 0, scale 1) of each family: CDF, quantile function and
-# mean, as scipy.stats defines them; ParametricScores evaluates them at
-# (z - loc) / scale and maps standard values back as x * scale + loc.
-_FAMILIES = {
-    "normal": (special.ndtr, special.ndtri, 0.0),
-    "logistic": (special.expit, special.logit, 0.0),
-    "uniform": (lambda x: 0.0 if x <= 0.0 else min(x, 1.0), lambda q: q, 0.5),
-}
+_FAMILY_NAMES = ("normal", "logistic", "uniform")
+
+
+class _Families(dict):
+    """Standard form (loc 0, scale 1) of each family: CDF, quantile function and
+    mean, as scipy.stats defines them; ParametricScores evaluates them at
+    (z - loc) / scale and maps standard values back as x * scale + loc.
+
+    Filled on the first lookup, so `import daqflow` loads no scipy; every
+    later lookup is a plain dict hit.
+    """
+
+    def __missing__(self, family: str):
+        if self:
+            raise KeyError(family)
+        from scipy import special
+
+        self.update(
+            normal=(special.ndtr, special.ndtri, 0.0),
+            logistic=(special.expit, special.logit, 0.0),
+            uniform=(lambda x: 0.0 if x <= 0.0 else min(x, 1.0), lambda q: q, 0.5),
+        )
+        return self[family]
+
+
+_FAMILIES = _Families()
 
 # Empirical quantiles need enough samples to be stable.
 MIN_EMPIRICAL_SAMPLES = 1000
@@ -68,7 +85,7 @@ class ParametricScores:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in _FAMILY_NAMES:
             raise ValueError(f"unknown score family {self.family!r}")
         if not math.isfinite(self.loc):
             raise ValueError("loc must be finite")

@@ -8,7 +8,9 @@ Results print to stdout in human-readable form; --out writes them to a file
 as CSV or JSON (--format).  When --out names a directory, or is omitted but
 DAQFLOW_OUT is set, the file lands there under a default name derived from
 the config and subcommand.  Exit codes: 0 success, 1 model error, 2 config
-error.  --strict escalates model warnings to errors.
+error; also 1, with no traceback, when stdout is closed before the output
+ends (a reader such as `head` quit early).  --strict escalates model
+warnings to errors.
 """
 
 from __future__ import annotations
@@ -347,7 +349,15 @@ def main(argv=None) -> int:
             if getattr(args, "strict", False):
                 stack.enter_context(warnings.catch_warnings())
                 warnings.simplefilter("error", ModelWarning)
-            return args.func(args)
+            status = args.func(args)
+            sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+            return status
+    except BrokenPipeError:
+        # Python's documented idiom: point stdout at devnull, so the flush at
+        # exit cannot fail again, and exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -270,6 +270,97 @@ def test_build_menu_fits_and_returns_model():
     assert model.positive.size == 5000
 
 
+# === calibrate once: the two memos behind build_menu ===
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Empty memos, and a count of the real fits and samples build_menu makes.
+
+    build_menu reaches fit_lambda and sample_scores through their module
+    names, so patching those counts every real call; the memos are cleared
+    on both sides so no other test sees a model built here, nor this test a
+    model built elsewhere.
+    """
+    calls = {"fit_lambda": 0, "sample_scores": 0}
+
+    def counting(name):
+        real = getattr(calibration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    calibration.clear_caches()
+    for name in calls:
+        monkeypatch.setattr(calibration, name, counting(name))
+    yield calls
+    calibration.clear_caches()
+
+
+def _memo_menu(rate=50e3, sample_count=1000):
+    paths = (_sigmoid_path(rate=rate), _sigmoid_path(threshold=50.0, width=0.0, rate=20e3))
+    return MenuSpec(name="m", mode="summed", paths=paths, sample_count=sample_count)
+
+
+def test_repeated_build_returns_the_cached_model(counted_calls):
+    menu = _memo_menu()
+    first = build_menu(menu, seed=3)
+    assert counted_calls == {"fit_lambda": 2, "sample_scores": 1}
+    # an equal spec built separately is the same key
+    assert build_menu(_memo_menu(), seed=3) is first
+    assert counted_calls == {"fit_lambda": 2, "sample_scores": 1}
+
+
+def test_new_seed_samples_again_without_refitting(counted_calls):
+    menu = _memo_menu()
+    build_menu(menu, seed=3)
+    model = build_menu(menu, seed=4)
+    assert counted_calls == {"fit_lambda": 2, "sample_scores": 2}
+    # the memoised fits give the model an unmemoised build gives (the
+    # names imported here are the unpatched functions, so they go uncounted)
+    lams = [fit_lambda(path) for path in menu.paths]
+    negative, positive = sample_scores(menu.paths, lams, menu.mode, menu.sample_count, 4)
+    assert (model.negative, model.positive) == (negative, positive)
+    # a menu sharing one path fits only the other
+    build_menu(replace(menu, paths=(menu.paths[0], _sigmoid_path(threshold=40.0))), seed=4)
+    assert counted_calls == {"fit_lambda": 3, "sample_scores": 3}
+
+
+def test_model_memo_evicts_least_recently_used(counted_calls):
+    menu = _memo_menu()
+    size = calibration.MODEL_CACHE_SIZE
+    for seed in range(size):
+        build_menu(menu, seed)
+    build_menu(menu, 0)  # refreshed: seed 1 is now the least recently used
+    assert counted_calls["sample_scores"] == size
+    build_menu(menu, size)  # one past the bound evicts seed 1
+    build_menu(menu, 0)
+    assert counted_calls["sample_scores"] == size + 1
+    build_menu(menu, 1)
+    assert counted_calls["sample_scores"] == size + 2
+    # every build fitted each path once: the lam memo is seed-free
+    assert counted_calls["fit_lambda"] == len(menu.paths)
+
+
+def test_clear_caches_empties_both_memos(counted_calls):
+    menu = _memo_menu()
+    build_menu(menu, seed=3)
+    calibration.clear_caches()
+    build_menu(menu, seed=3)
+    assert counted_calls == {"fit_lambda": 4, "sample_scores": 2}
+
+
+def test_failed_fit_is_not_cached(counted_calls):
+    menu = _memo_menu(rate=0.99 * 40e6)  # above the plateau ceiling
+    for _ in range(2):
+        with pytest.raises(FitInfeasibleError, match="attainable"):
+            build_menu(menu, seed=3)
+    assert counted_calls == {"fit_lambda": 2, "sample_scores": 0}
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         EfficiencyCurve(threshold=0.0, width=1.0, plateau=0.9)

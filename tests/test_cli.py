@@ -306,7 +306,7 @@ def test_cli_import_does_not_load_scipy_stats():
     # scipy.stats would add about half a second to every command's start-up.
     # Calibration imports quadrature and root finding only when it fits, so
     # `validate` and graph-only work never pay for them either.
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special")
     src = str(Path(daqflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = f"import sys, daqflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
@@ -314,6 +314,25 @@ def test_cli_import_does_not_load_scipy_stats():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader goes away before the first line: `daqflow run ... | true`
+    src = str(Path(daqflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg = str(CONFIG_DIR / "cms_run3.cfg")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "daqflow.cli", "run", cfg],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in stderr
+    assert "BrokenPipeError" not in stderr
 
 
 def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):

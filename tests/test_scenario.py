@@ -280,12 +280,13 @@ def test_parallel_sweep_matches_serial(sweep_rows_pair):
 
 def test_sweep_starts_no_more_workers_than_points(load_fixture, sweep_rows_pair, monkeypatch):
     # the pool starts all of its workers at the first submit; this stand-in
-    # records the count and maps in this process, so no process starts
+    # records the count and the chunk size and maps in this process, so no
+    # process starts
     started = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.workers = max_workers
 
         def __enter__(self):
             return self
@@ -293,13 +294,18 @@ def test_sweep_starts_no_more_workers_than_points(load_fixture, sweep_rows_pair,
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            started.append((self.workers, chunksize))
             return map(fn, items)
 
     monkeypatch.setattr(scenario, "ProcessPoolExecutor", InProcessPool)
     rows = sweep(load_fixture("cms_sweep"), jobs=64)
-    assert started == [4]  # the bundled grid has four points
+    assert started == [(4, 1)]  # the bundled grid has four points
     assert rows == sweep_rows_pair[0]
+    # fewer workers than points: one contiguous chunk per worker
+    started.clear()
+    assert sweep(load_fixture("cms_sweep"), jobs=3) == sweep_rows_pair[0]
+    assert started == [(3, 2)]
 
 
 def test_sweep_rows_fail_individually():
