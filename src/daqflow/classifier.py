@@ -20,6 +20,7 @@ target exactly rather than at step granularity.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -45,29 +46,23 @@ __all__ = [
 _FAMILY_NAMES = ("normal", "logistic", "uniform")
 
 
-class _Families(dict):
+@functools.cache
+def _families() -> dict:
     """Standard form (loc 0, scale 1) of each family: CDF, quantile function and
     mean, as scipy.stats defines them; ParametricScores evaluates them at
     (z - loc) / scale and maps standard values back as x * scale + loc.
 
-    Filled on the first lookup, so `import daqflow` loads no scipy; every
-    later lookup is a plain dict hit.
+    Built at the first lookup, so `import daqflow` loads no scipy.
     """
+    from scipy import special
 
-    def __missing__(self, family: str):
-        if self:
-            raise KeyError(family)
-        from scipy import special
+    forms = (
+        (special.ndtr, special.ndtri, 0.0),
+        (special.expit, special.logit, 0.0),
+        (lambda x: 0.0 if x <= 0.0 else min(x, 1.0), lambda q: q, 0.5),
+    )
+    return dict(zip(_FAMILY_NAMES, forms, strict=True))
 
-        self.update(
-            normal=(special.ndtr, special.ndtri, 0.0),
-            logistic=(special.expit, special.logit, 0.0),
-            uniform=(lambda x: 0.0 if x <= 0.0 else min(x, 1.0), lambda q: q, 0.5),
-        )
-        return self[family]
-
-
-_FAMILIES = _Families()
 
 # Empirical quantiles need enough samples to be stable.
 MIN_EMPIRICAL_SAMPLES = 1000
@@ -93,15 +88,15 @@ class ParametricScores:
             raise ValueError("scale must be finite and positive")
 
     def cdf(self, z: float) -> float:
-        return float(_FAMILIES[self.family][0]((z - self.loc) / self.scale))
+        return float(_families()[self.family][0]((z - self.loc) / self.scale))
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             return math.nan
-        return float(_FAMILIES[self.family][1](q)) * self.scale + self.loc
+        return float(_families()[self.family][1](q)) * self.scale + self.loc
 
     def mean(self) -> float:
-        return _FAMILIES[self.family][2] * self.scale + self.loc
+        return _families()[self.family][2] * self.scale + self.loc
 
     def atom_mass(self, z: float) -> float:
         return 0.0

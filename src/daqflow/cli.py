@@ -7,10 +7,10 @@ report (evaluate the table layouts a config references).
 Results print to stdout in human-readable form; --out writes them to a file
 as CSV or JSON (--format).  When --out names a directory, or is omitted but
 DAQFLOW_OUT is set, the file lands there under a default name derived from
-the config and subcommand.  Exit codes: 0 success, 1 model error, 2 config
-error; also 1, with no traceback, when stdout is closed before the output
-ends (a reader such as `head` quit early).  --strict escalates model
-warnings to errors.
+the config and subcommand.  Exit codes: 0 success, 1 model error or an
+output file that cannot be written, 2 config error; also 1, with no
+traceback, when stdout is closed before the output ends (a reader such as
+`head` quit early).  --strict escalates model warnings to errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .config import load_config
@@ -119,10 +119,19 @@ def _out_target(args, command: str) -> Path | None:
         return None
     p = Path(out)
     if p.suffix.lower() in (".csv", ".json"):
-        p.parent.mkdir(parents=True, exist_ok=True)
         return p
-    p.mkdir(parents=True, exist_ok=True)
     return p / f"{Path(args.config).stem}_{command}.{args.format}"
+
+
+@contextmanager
+def _out_file(path: Path):
+    """Open an output file for writing, making its directory; a failure is an error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise DaqflowError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_rows(path: Path, rows: list[ResultRow], fmt: str, extra_cols=(), extras=None) -> None:
@@ -132,9 +141,10 @@ def _write_rows(path: Path, rows: list[ResultRow], fmt: str, extra_cols=(), extr
             d = dict(zip(extra_cols, extras[i])) if extras else {}
             d.update(row.as_dict())
             payload.append(d)
-        path.write_text(json.dumps({"rows": payload}, indent=2) + "\n")
+        with _out_file(path) as fh:
+            fh.write(json.dumps({"rows": payload}, indent=2) + "\n")
         return
-    with path.open("w", newline="") as fh:
+    with _out_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(extra_cols) + list(CSV_COLUMNS))
         for i, row in enumerate(rows):
@@ -262,7 +272,8 @@ def _cmd_run(args) -> int:
     target = _out_target(args, "run")
     if target is not None:
         if args.format == "json":
-            target.write_text(json.dumps(_run_json(result, args.config), indent=2) + "\n")
+            with _out_file(target) as fh:
+                fh.write(json.dumps(_run_json(result, args.config), indent=2) + "\n")
         else:
             _write_rows(target, [result.row], "csv")
         print(f"wrote {target}")
@@ -298,9 +309,10 @@ def _cmd_costs(args) -> int:
     target = _out_target(args, "costs")
     if target is not None:
         if args.format == "json":
-            target.write_text(json.dumps(costs.as_dict(), indent=2) + "\n")
+            with _out_file(target) as fh:
+                fh.write(json.dumps(costs.as_dict(), indent=2) + "\n")
         else:
-            with target.open("w", newline="") as fh:
+            with _out_file(target) as fh:
                 writer = csv.writer(fh)
                 writer.writerow(COSTS_COLUMNS)
                 writer.writerow(
@@ -353,10 +365,12 @@ def main(argv=None) -> int:
             sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
             return status
     except BrokenPipeError:
-        # Python's documented idiom: point stdout at devnull, so the flush at
-        # exit cannot fail again, and exit 1 as Python does on EPIPE
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # stdout's reader has gone (an output file's failure is reported as
+        # an error by _out_file).  Python's documented idiom: point stdout at
+        # devnull, so the flush at exit cannot fail again, and exit 1 as
+        # Python does on EPIPE.  A stdout replaced in process is the caller's.
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -432,9 +432,11 @@ def sweep(cfg, *, jobs: int = 1, seed: int | None = None) -> list[ResultRow]:
 
     Points fail individually: a failed point carries its error message in
     the row and the sweep continues.  jobs > 1 distributes points over
-    processes, at most one per point, as one contiguous chunk per worker, so
-    each worker's calibration memo builds each (menu, seed) model once;
-    results come back in grid order.
+    processes, at most one per point, as one contiguous chunk per worker:
+    a task carries the whole config, and pickling it plus the pool's
+    per-task bookkeeping costs about as much as a warm point, so a chunk
+    pays that once per worker, not once per point.  Results come back in
+    grid order.
     """
     axes = getattr(cfg, "sweep", None)
     if axes is None:
@@ -449,6 +451,7 @@ def sweep(cfg, *, jobs: int = 1, seed: int | None = None) -> list[ResultRow]:
     workers = min(jobs, len(points))  # the pool starts every worker at once
     if workers > 1:
         chunk = math.ceil(len(points) / workers)
+        workers = math.ceil(len(points) / chunk)  # no worker left without a chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points, chunksize=chunk))
     return [_sweep_point(p) for p in points]

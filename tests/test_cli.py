@@ -335,6 +335,38 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert "BrokenPipeError" not in stderr
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_file_broken_pipe_is_reported(tmp_path, monkeypatch, capsys, fmt):
+    # `--out` naming a FIFO whose reader left: an error on stderr, not the
+    # silent exit that a closed stdout gets
+    real_open = Path.open
+
+    def broken_open(self, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise BrokenPipeError(32, "Broken pipe")
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", broken_open)
+    target = tmp_path / f"out.{fmt}"
+    cfg = str(CONFIG_DIR / "cms_run3.cfg")
+    for command in ("run", "costs"):
+        assert main([command, cfg, "--out", str(target), "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: cannot write {target}: Broken pipe\n"
+        assert out.startswith("scenario: ")
+
+
+@pytest.mark.parametrize("out", ["taken.csv", "afile/x.csv", "afile/dir"])
+def test_unwritable_output_file_is_reported(tmp_path, capsys, out):
+    # a directory where the file goes, or a file where a directory goes
+    (tmp_path / "taken.csv").mkdir()
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / out
+    assert main(["sweep", str(CONFIG_DIR / "cms_sweep.cfg"), "--out", str(target)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: cannot write {target}")
+
+
 def test_missing_and_malformed_configs_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -280,8 +280,8 @@ def test_parallel_sweep_matches_serial(sweep_rows_pair):
 
 def test_sweep_starts_no_more_workers_than_points(load_fixture, sweep_rows_pair, monkeypatch):
     # the pool starts all of its workers at the first submit; this stand-in
-    # records the count and the chunk size and maps in this process, so no
-    # process starts
+    # records the worker count and chunk size and maps in this process, so
+    # no process starts
     started = []
 
     class InProcessPool:
@@ -302,10 +302,10 @@ def test_sweep_starts_no_more_workers_than_points(load_fixture, sweep_rows_pair,
     rows = sweep(load_fixture("cms_sweep"), jobs=64)
     assert started == [(4, 1)]  # the bundled grid has four points
     assert rows == sweep_rows_pair[0]
-    # fewer workers than points: one contiguous chunk per worker
+    # 4 points over 3 workers make chunks of 2, so only 2 workers start
     started.clear()
     assert sweep(load_fixture("cms_sweep"), jobs=3) == sweep_rows_pair[0]
-    assert started == [(3, 2)]
+    assert started == [(2, 2)]
 
 
 def test_sweep_rows_fail_individually():
