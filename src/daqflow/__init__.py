@@ -61,7 +61,6 @@ from .errors import (
     ModelError,
     ModelWarning,
     OperatingPointError,
-    QuadratureError,
 )
 from .functions import (
     ConstantFn,
@@ -112,7 +111,7 @@ __all__ = [
     # errors
     "DaqflowError", "ConfigError", "ModelError", "ModelWarning",
     "GraphValidationError", "FlowConsistencyError", "OperatingPointError",
-    "DegeneratePopulationError", "FitInfeasibleError", "QuadratureError",
+    "DegeneratePopulationError", "FitInfeasibleError",
     # function forms
     "ConstantFn", "LinearFn", "PowerLawFn", "TableFn",
     "ConstantScaling", "ProportionalScaling", "TableScaling",

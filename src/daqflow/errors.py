@@ -15,7 +15,6 @@ __all__ = [
     "OperatingPointError",
     "DegeneratePopulationError",
     "FitInfeasibleError",
-    "QuadratureError",
     "ModelWarning",
 ]
 
@@ -60,10 +59,6 @@ class DegeneratePopulationError(ModelError):
 
 
 class FitInfeasibleError(ModelError):
-    pass
-
-
-class QuadratureError(ModelError):
     pass
 
 

@@ -1,16 +1,16 @@
 """Turn-on curves, spectrum fits, and score sampling.
 
-Rate integrals are checked against dense fixed-grid trapezoid sums, the
-fitter against a log-grid scan, and the samplers against conditional
-expectations from quadrature, so no check leans on the code under test for
-its reference value.
+Trigger rates are checked against mpmath's hypergeometric function at 50
+digits and against dense fixed-grid trapezoid sums, the fitter against a
+log-grid scan, and the samplers against conditional expectations from
+quadrature, so no check leans on the code under test for its reference value.
 """
 
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from scipy.special import expit
 import daqflow
 from daqflow import calibration
 from daqflow.calibration import (
+    FIT_BRACKET,
     FIT_RATE_RTOL,
     EfficiencyCurve,
     MenuSpec,
@@ -50,11 +51,66 @@ def test_trigger_rate_matches_dense_trapezoid():
     assert trigger_rate(path, lam) == pytest.approx(oracle, rel=1e-5)
 
 
+def _hypergeometric_rate(path, lam):
+    """input * plateau * 2F1(1, s; 1 + s; -exp(c)), s = lam * width, c = threshold / width."""
+    with mpmath.workdps(50):
+        width = mpmath.mpf(path.curve.width)
+        s = mpmath.mpf(lam) * width
+        c = mpmath.mpf(path.curve.threshold) / width
+        scale = mpmath.mpf(path.input_rate) * mpmath.mpf(path.curve.plateau)
+        return scale * mpmath.hyp2f1(1, s, 1 + s, -mpmath.exp(c))
+
+
+def _relative_miss(path, lam):
+    exact = _hypergeometric_rate(path, lam)
+    with mpmath.workdps(50):
+        return float(abs(trigger_rate(path, lam) - exact) / exact), exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log10_lam=st.floats(math.log10(FIT_BRACKET[0]), math.log10(FIT_BRACKET[1])),
+    threshold=st.floats(2.0, 300.0),
+    width_frac=st.floats(1e-3, 0.5),
+    plateau=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_trigger_rate_matches_the_hypergeometric_closed_form(
+    log10_lam, threshold, width_frac, plateau
+):
+    path = _sigmoid_path(threshold, threshold * width_frac, plateau, rate=1.0)
+    miss, exact = _relative_miss(path, 10.0**log10_lam)
+    if exact > 1e-300:
+        assert miss <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "threshold, width, lam", [(3.0, 0.5, 2.0), (30.0, 0.5, 4.0), (30.0, 2.0, 3.0)]
+)
+def test_trigger_rate_at_an_integer_s(threshold, width, lam):
+    # s = lam * width is an integer, so one below-turn-on term sits at k = s
+    path = _sigmoid_path(threshold, width, plateau=0.95, rate=1.0)
+    assert (lam * width).is_integer()
+    miss, _ = _relative_miss(path, lam)
+    assert miss <= 1e-12
+
+
+def test_near_plateau_rate_and_fit_are_exact():
+    # a rate fraction of 0.99945, where a relative miss in the rate is ~160
+    # times larger in the fitted lam: a 1e-4 miss there is a percent in lam
+    lam = 1.857e-4
+    path = _sigmoid_path(threshold=2.949, width=0.681, plateau=1.0, rate=1.0)
+    miss, exact = _relative_miss(path, lam)
+    assert miss <= 1e-12
+    assert fit_lambda(replace(path, empirical_rate=float(exact))) == pytest.approx(lam, rel=1e-9)
+
+
 def test_step_curve_rate_is_the_closed_form():
-    curve = EfficiencyCurve(threshold=30.0, width=0.0, plateau=0.9)
-    path = TriggerPath("obj", curve, empirical_rate=1e3, input_rate=40e6)
-    for lam in (1e-3, 0.05, 0.4, 1.0):
-        assert trigger_rate(path, lam) == 40e6 * 0.9 * math.exp(-lam * 30.0)
+    # a width so small that threshold / width overflows is a step as well
+    for width in (0.0, 1e-310):
+        curve = EfficiencyCurve(threshold=30.0, width=width, plateau=0.9)
+        path = TriggerPath("obj", curve, empirical_rate=1e3, input_rate=40e6)
+        for lam in (1e-3, 0.05, 0.4, 1.0):
+            assert trigger_rate(path, lam) == 40e6 * 0.9 * math.exp(-lam * 30.0)
 
 
 def test_fit_lambda_matches_grid_scan():
@@ -162,7 +218,7 @@ def test_fit_needs_few_rate_evaluations(monkeypatch):
         assert 0 < calls <= 20, (path.object_name, calls)
 
 
-def test_fit_integrates_each_lam_once(monkeypatch):
+def test_fit_evaluates_each_lam_once(monkeypatch):
     rate = calibration.trigger_rate
     seen = []
 
@@ -181,33 +237,15 @@ def test_fit_integrates_each_lam_once(monkeypatch):
         assert len(seen) == len(set(seen)), (path.object_name, seen)
 
 
-def test_scalar_integrand_equals_the_vectorised_curve():
-    rng = np.random.default_rng(7)
-    checked = far_below = 0
-    for i in range(200):
-        threshold = rng.uniform(3.0, 250.0)
-        # odd curves are narrow enough that x = -700 still has p >= 0
-        width = rng.uniform(0.001, threshold / 700.0) if i % 2 else rng.uniform(0.01, 50.0)
-        curve = EfficiencyCurve(threshold, width, plateau=rng.uniform(0.05, 1.0))
-        # lam <= 0.01/GeV keeps every value compared here a normal float
-        lam = 10.0 ** rng.uniform(-4.0, -2.0)
-        g = calibration._integrand(curve, lam)
-        # logistic arguments across [-700, 700], both ends included
-        xs = np.concatenate([[-700.0, 700.0, 0.0], rng.uniform(-700.0, 700.0, 20)])
-        ps = curve.threshold + curve.width * xs
-        far_below += ps[0] >= 0.0
-        for u in lam * ps[ps >= 0.0]:
-            u = float(u)
-            expected = float(curve(u / lam)) * math.exp(-u)
-            assert expected >= sys.float_info.min
-            assert math.isclose(g(u), expected, rel_tol=1e-15, abs_tol=0.0), (curve, lam, u)
-            checked += 1
-    assert checked > 1000 and far_below >= 100
-
-
 def test_trigger_rate_rejects_nonpositive_lam():
     with pytest.raises(ValueError):
         trigger_rate(_sigmoid_path(), 0.0)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_trigger_rate_rejects_a_non_finite_lam(lam):
+    with pytest.raises(ValueError, match="finite"):
+        trigger_rate(_sigmoid_path(), lam)
 
 
 def test_positive_scores_match_conditional_expectation():
@@ -393,7 +431,7 @@ def test_spec_validation():
 #   (PB(a r + (1 - a) q) - P0 PB(q)) / (1 - P0),   P0 = prod(1 - a_i).
 # One-at-a-time mode pools count_i outcomes of each path: Bernoulli mixtures
 # weighted by the per-path counts.  Everything here uses scipy directly, not
-# the calibration module's curve, integrand or sampler.
+# the calibration module's curve, rate or sampler.
 
 ORACLE_Z_BOUND = 5.0  # per-atom multinomial |z|; the worst seen over seeds 0-19 is ~2.9
 ORACLE_MIN_EXPECTED = 5.0  # atoms expected fewer times than this are pooled

@@ -163,7 +163,7 @@ def _summed_menu(k: int) -> str:
     "body, cause",
     [
         ("conditions: {pileup: 1.0e+300}\n", "OverflowError"),
-        (_summed_menu(21), "ValueError: summed mode enumerates"),
+        (_summed_menu(21), "ValueError: summed mode enumerates 2^k - 1 subsets; menu too large"),
     ],
     ids=["pileup_1e300", "summed_menu_21_paths"],
 )
@@ -173,6 +173,54 @@ def test_model_failures_end_as_one_error_line(tmp_path, capsys, body, cause):
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith(f"error: {cause}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            FULL.replace("role: l1t", "role: hlt").replace("mode: summed", "mode: one-at-a-time")
+            + "variants: {gpu_hlt: {enabled: true}}\n",
+            "gpu_hlt variant needs an hlt process node with unit_power_w set",
+        ),
+        (
+            FULL.replace("    classifier: m\n    reduction_target: 4\n", "")
+            + "variants: {l1_tracks: {enabled: true}}\n",
+            "l1_tracks variant needs a classifying l1t node",
+        ),
+        (
+            FULL.replace("role: l1t", "role: inner_tracker")
+            + "variants: {smart_pixels: {enabled: true}}\n",
+            "smart_pixels variant needs an inner_tracker sensor",
+        ),
+    ],
+    ids=["gpu_hlt_without_unit_power", "l1_tracks_without_classifier", "smart_pixels_on_a_process"],
+)
+def test_a_variant_without_its_node_ends_as_one_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "variant.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("- schema_version\n- 1\n", "shape.cfg: top level must be a mapping"),
+        ("extends: 5\nschema_version: 1\n", "shape.cfg: extends must be a path string, got 5"),
+    ],
+    ids=["top_level_list", "extends_number"],
+)
+def test_a_config_of_the_wrong_shape_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "shape.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
+def test_sweep_without_a_sweep_section_exits_2(capsys):
+    assert main(["sweep", str(CONFIG_DIR / "cms_run3.cfg")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: config has no sweep section"]
 
 
 def test_a_reduction_target_past_double_precision_is_named(tmp_path, capsys):
@@ -304,8 +352,8 @@ def test_exponent_numbers_read_as_text_are_located_errors_with_advice(
 def test_cli_import_does_not_load_scipy_stats():
     # score families are closed forms over scipy.special; importing
     # scipy.stats would add about half a second to every command's start-up.
-    # Calibration imports quadrature and root finding only when it fits, so
-    # `validate` and graph-only work never pay for them either.
+    # Calibration imports root finding only when it fits, and nothing
+    # imports quadrature, so `validate` and graph-only work never pay for them.
     heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special")
     src = str(Path(daqflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
