@@ -96,7 +96,11 @@ class EfficiencyCurve:
             return self.plateau * (np.asarray(p, dtype=float) > self.threshold)
         from scipy.special import expit  # imported here: `import daqflow` loads no scipy
 
-        return self.plateau * expit((np.asarray(p, dtype=float) - self.threshold) / self.width)
+        # (p - T)/w overflows to ±inf at a tiny width, or at a p far from T;
+        # expit(±inf) is exactly 0 or 1, the step the curve tends to
+        with np.errstate(over="ignore"):
+            z = (np.asarray(p, dtype=float) - self.threshold) / self.width
+        return self.plateau * expit(z)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,19 @@ against calibration.menus and applies the stage-mode rule.
 A file may name a single parent via `extends:`; the child's sections are
 deep-merged over the parent's (scalars and lists replace, mappings merge).
 Parents may not themselves extend.
+
+Parse once: an `extends` parent's line-stamped data is memoised
+(_parsed_parent) under its text and name, of which _load_yaml is a pure
+function, so an edited parent is never served stale and nothing needs
+clearing; the parent file is still read on every load.  Children share the
+cached dict uncopied: _merge builds new dicts and only shares the parent's
+sub-objects, the table reader only reads, and `extends` is popped from the
+child's own dict.  The named file and each report row are parsed every time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -104,6 +113,12 @@ def _load_yaml(text: str, filename: str) -> dict:
         raise ConfigError(f"{filename}: top level must be a mapping")
     _stamp_filename(data, filename)
     return data
+
+
+@functools.lru_cache(maxsize=16)
+def _parsed_parent(text: str, name: str) -> dict:
+    """An extends parent's data, shared by every child: read it, never mutate it."""
+    return _load_yaml(text, name)
 
 
 def _merge(parent: dict, child: dict) -> dict:
@@ -679,7 +694,7 @@ def _resolve_extends(data: dict, base_dir: Path | None, filename: str) -> dict:
     parent_path = (base_dir / ref).resolve()
     if not parent_path.is_file():
         raise ConfigError(f"{filename}: extended config not found: {ref}")
-    parent = _load_yaml(parent_path.read_text(), parent_path.name)
+    parent = _parsed_parent(parent_path.read_text(), parent_path.name)
     if "extends" in parent:
         raise ConfigError(
             f"{filename}: extends chains are limited to one level, "

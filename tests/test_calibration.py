@@ -113,6 +113,19 @@ def test_step_curve_rate_is_the_closed_form():
             assert trigger_rate(path, lam) == 40e6 * 0.9 * math.exp(-lam * 30.0)
 
 
+@pytest.mark.parametrize(
+    "width, p, expected",
+    [
+        (1e-310, [10.0, 30.0, 50.0], [0.0, 0.475, 0.95]),  # (p - T)/w overflows off the threshold
+        (0.5, [-1e308, 1e308], [0.0, 0.95]),  # a moderate width, a p far from T
+    ],
+)
+def test_an_overflowing_turn_on_quotient_is_a_step_without_a_warning(width, p, expected):
+    # the suite's error::RuntimeWarning filter turns an unguarded overflow into a failure
+    curve = EfficiencyCurve(threshold=30.0, width=width, plateau=0.95)
+    assert curve(np.array(p)).tolist() == expected
+
+
 def test_fit_lambda_matches_grid_scan():
     path = _sigmoid_path(rate=10e3)
     fitted = fit_lambda(path)

@@ -218,6 +218,37 @@ def test_a_config_of_the_wrong_shape_exits_2(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        ("description: 5\n", "case.cfg:1: description: expected a string, got 5"),
+        (
+            "sweep: {variants: [5]}\n",
+            "case.cfg:2: sweep.variants[0]: expected a variant name string, got 5",
+        ),
+    ],
+    ids=["description_number", "sweep_variant_number"],
+)
+def test_a_non_string_in_a_text_field_is_a_located_error(tmp_path, capsys, override, problem):
+    assert main(["validate", str(_extending_base(tmp_path, override))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: invalid configuration (1 problem)",
+        f"  at {problem}",
+    ]
+
+
+def test_a_vanishing_turn_on_width_runs_with_an_empty_stderr(tmp_path, capsys):
+    # (p - T)/w overflows for every sampled p off the threshold: the curve is a step
+    paths = "".join(
+        f'        - {{name: {name}, threshold: "{t} GeV", width: "{w} GeV", plateau: 0.95,'
+        f' empirical_rate: "150 kHz", input_rate: "40 MHz"}}\n'
+        for name, t, w in (("egamma", 30, "1.0e-310"), ("muon", 22, 2.2))
+    )
+    body = f"calibration:\n  menus:\n    l1_menu:\n      paths:\n{paths}"
+    assert main(["run", str(_extending_base(tmp_path, body))]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_without_a_sweep_section_exits_2(capsys):
     assert main(["sweep", str(CONFIG_DIR / "cms_run3.cfg")]) == 2
     assert capsys.readouterr().err.splitlines() == ["config error: config has no sweep section"]

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 import daqflow
-from daqflow import config
+from daqflow import cli, config
 from daqflow.calibration import EfficiencyCurve, MenuSpec, TriggerPath
 from daqflow.classifier import EmpiricalScores
 from daqflow.config import (
@@ -289,6 +289,75 @@ def test_extends_chains_are_rejected(tmp_path):
         load_config_text = tmp_path / "orphan.cfg"
         load_config_text.write_text("extends: missing.cfg\n")
         load_config(load_config_text)
+
+
+def test_extends_in_text_needs_a_base_dir():
+    with pytest.raises(ConfigError, match="<config>: extends needs a file-based config"):
+        parse_config("extends: cms_base.cfg\n" + MINIMAL)
+
+
+def test_a_report_parses_its_shared_parent_once(tmp_path, monkeypatch):
+    tables = load_config(CONFIG_DIR / "cms_tables.cfg").report.tables
+    parsed = []
+    load_yaml = config._load_yaml
+
+    def counted(text, filename):
+        parsed.append(filename)
+        return load_yaml(text, filename)
+
+    monkeypatch.setattr(config, "_load_yaml", counted)
+    config._parsed_parent.cache_clear()
+    assert cli.main(["report", str(CONFIG_DIR / "cms_tables.cfg"), "--out", str(tmp_path)]) == 0
+    # cms_tables.cfg and its ten rows each extend cms_base.cfg; each row is parsed itself
+    assert sorted(parsed) == sorted(
+        ["cms_base.cfg", "cms_tables.cfg"]
+        + [Path(row.config_path).name for table in tables for row in table.rows]
+    )
+
+
+def test_an_edited_parent_is_read_afresh(tmp_path):
+    parent = tmp_path / "parent.cfg"
+    parent.write_text(MINIMAL)
+    (tmp_path / "child.cfg").write_text("extends: parent.cfg\n")
+    assert load_config(tmp_path / "child.cfg").conditions.pileup == 1.0
+    # same name and size, rewritten at once: a (mtime, size) key could serve the old data
+    parent.write_text(MINIMAL.replace("{pileup: 1}", "{pileup: 2}"))
+    assert load_config(tmp_path / "child.cfg").conditions.pileup == 2.0
+
+
+def _nested_overrides() -> list[str]:
+    """Child bodies that override nested keys of every section a child merges over cms_base."""
+    base = yaml.safe_load((CONFIG_DIR / "cms_base.cfg").read_text())
+    nodes, links = base["nodes"], base["links"]
+    nodes[0]["sample_rate"] = "20 MHz"
+    links[0]["energy_per_bit"] = "3 pJ/bit"
+    paths = base["calibration"]["menus"]["hlt_menu"]["paths"][:2]
+    paths[0]["threshold"] = "600 GeV"
+    return [
+        "conditions: {pileup: 200, l1_reduction: 160}\n",
+        "era: {year: 2030}\nvariants: {gpu_hlt: {enabled: true, unit_power: 300 W}}\n",
+        yaml.safe_dump({"calibration": {"menus": {"hlt_menu": {"sample_count": 2000, "paths": paths}}}}),
+        yaml.safe_dump({"nodes": nodes, "links": links}),
+    ]
+
+
+def test_children_leave_the_shared_parent_data_unchanged(tmp_path):
+    text = (CONFIG_DIR / "cms_base.cfg").read_text()
+    shared = config._parsed_parent(text, "cms_base.cfg")
+    child = tmp_path / "child.cfg"
+    for body in _nested_overrides():
+        child.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\n{body}")
+        load_config(child)
+    # a child whose sections fail to read, including the lenient calibration table
+    child.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\ncalibration: 5\nnodes: {{}}\n")
+    with pytest.raises(ConfigError):
+        load_config(child)
+    assert config._parsed_parent(text, "cms_base.cfg") is shared
+    assert shared == config._load_yaml(text, "cms_base.cfg")
+
+
+def test_the_parent_memo_is_bounded():
+    assert config._parsed_parent.cache_info().maxsize is not None
 
 
 def test_missing_config_file():
