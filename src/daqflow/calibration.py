@@ -22,7 +22,14 @@ PRNG: numpy PCG64.  Path substreams are seeded with SeedSequence((seed,
 crc32(path_name))) and subset choices for positive events come from a
 dedicated event stream SeedSequence((seed, crc32("__event__"))), so sampling
 is bit-identical across runs and platforms for a given seed, regardless of
-path iteration order.
+path iteration order.  Each path draws four blocks in a fixed order: the
+negative momenta, their detection uniforms, the positive momenta, theirs.
+An outcome is `uniform < eff(p)`.  numpy's estimate of eff(p) decides it
+when the uniform lies clear of the estimate; a uniform within CONFIRM_RTOL
+of it, or exactly 0, goes to EfficiencyCurve itself, so the outcome is the
+one the curve gives.  The subset draw repeats Generator.choice(p=weights):
+the same n uniforms, and as index the number of entries of
+cdf = cumsum(weights) / its last entry at or below each.
 
 Calibrate once: `build_menu` keeps two bounded least-recently-used memos.
 A fitted lam depends only on its TriggerPath (it has no seed), so a menu
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ClassifierModel, EmpiricalScores
-from .errors import FitInfeasibleError
+from .errors import DegeneratePopulationError, FitInfeasibleError
 
 __all__ = [
     "EfficiencyCurve",
@@ -68,6 +75,13 @@ DEFAULT_SAMPLE_COUNT = 50_000
 # stays at constant memory.  A model is a few score atoms, a fit one float.
 MODEL_CACHE_SIZE = 64
 LAMBDA_CACHE_SIZE = 1024
+
+# A detection whose uniform lies within this relative distance of numpy's
+# estimate of eff(p) is decided by EfficiencyCurve itself (see _detected).
+CONFIRM_RTOL = 1e-12
+# _choice scans a cdf of at most this many entries (a summed menu of up to 6
+# paths has 63 subsets) and binary-searches a longer one
+CHOICE_SCAN_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -241,16 +255,6 @@ def _substream(seed: int, label: str) -> np.random.Generator:
     )
 
 
-def _momenta_below(u: np.ndarray, lam: float, threshold: float) -> np.ndarray:
-    # inverse-CDF of the exponential truncated to (0, threshold]
-    return -np.log1p(-u * (1.0 - math.exp(-lam * threshold))) / lam
-
-
-def _momenta_above(u: np.ndarray, lam: float, threshold: float) -> np.ndarray:
-    # memoryless tail: threshold + Exp(lam)
-    return threshold - np.log1p(-u) / lam
-
-
 def sample_scores(
     paths: list[TriggerPath] | tuple[TriggerPath, ...],
     lams: list[float] | tuple[float, ...],
@@ -266,34 +270,54 @@ def sample_scores(
     per-path detection outcomes of one event add into a single scalar score;
     in "one-at-a-time" mode each path contributes its own scores to the
     pooled populations without summation.  Both modes return n negative and
-    n positive samples and coincide exactly for a single-path menu.
+    n positive samples and coincide exactly for a single-path menu.  A
+    summed menu whose every path fits exp(-lam * threshold) == 0 has no
+    positive event and raises DegeneratePopulationError.
     """
     fitted = tuple(zip(paths, lams, strict=True))
     for path, lam in fitted:
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"path {path.object_name!r}: lam must be finite and > 0, got {lam}")
+    # reused by every path: momenta, detection uniforms, two work rows; hits, flags
+    floats, flags = np.empty((4, n)), np.empty((2, n), dtype=bool)
     if mode == "summed":
-        above = _above_subsets(fitted, n, seed)
-        negative, positive = np.zeros(n), np.zeros(n)
+        events = _above_subsets(fitted, n, seed)
+        above = np.empty(n, dtype=np.intp)
+        scores = np.zeros((2, n), dtype=np.int8)  # k <= 20 detections per event
         for i, (path, lam) in enumerate(fitted):
-            neg, pos = _detections(path, lam, seed, above[:, i])
-            negative += neg
-            positive += pos
+            np.right_shift(events, i, out=above)
+            above &= 1
+            for score, hit in zip(scores, _detections(path, lam, seed, above, floats, flags)):
+                score += hit
+        counts = [np.bincount(score) for score in scores]
     elif mode == "one-at-a-time":
         # n split over the k paths, the first n % k one larger; positives all above threshold
-        shares = np.array_split(np.ones(n, dtype=bool), len(fitted))
-        parts = [_detections(path, lam, seed, above) for (path, lam), above in zip(fitted, shares)]
-        negative, positive = (np.concatenate(side) for side in zip(*parts))
+        k, hits = len(fitted), np.zeros(2, dtype=np.int64)
+        for i, (path, lam) in enumerate(fitted):
+            count = n // k + (i < n % k)
+            sides = _detections(path, lam, seed, 1, floats[:, :count], flags[:, :count])
+            hits += [np.count_nonzero(hit) for hit in sides]
+        counts = [np.array([n - hit, hit]) for hit in hits]
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return EmpiricalScores.from_samples(negative), EmpiricalScores.from_samples(positive)
+    negative, positive = map(_scores_from_counts, counts)
+    return negative, positive
+
+
+def _scores_from_counts(counts: np.ndarray) -> EmpiricalScores:
+    # counts[s] samples scored s; EmpiricalScores keeps the scores that occur
+    values = np.flatnonzero(counts)
+    return EmpiricalScores(
+        tuple(values.astype(float).tolist()), tuple(np.cumsum(counts[values]).tolist())
+    )
 
 
 def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
-    """(n, k) booleans: per positive event, the paths whose object lands above threshold.
+    """Per positive event, the bit mask of the paths whose object lands above threshold.
 
     Each event draws a non-empty subset S with P(S) ~ prod_in(a) * prod_out(1 - a),
     where a = exp(-lam * threshold) is the path's chance of an object above.
+    Subset s (0-based) has mask s + 1: bit i set means path i is above.
     """
     k = len(fitted)
     if k > 20:
@@ -301,28 +325,109 @@ def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
     above_prob = np.array([math.exp(-lam * path.curve.threshold) for path, lam in fitted])
     masks = np.array([[(s + 1) >> i & 1 for i in range(k)] for s in range(2**k - 1)], dtype=bool)
     weights = np.prod(np.where(masks, above_prob, 1.0 - above_prob), axis=1)
-    weights /= weights.sum()
-    subset = _substream(seed, "__event__").choice(len(weights), size=n, p=weights)
-    return masks[subset]
+    total = weights.sum()
+    if not total > 0.0:
+        names = ", ".join(repr(path.object_name) for path, _ in fitted)
+        raise DegeneratePopulationError(
+            f"summed menu of paths {names}: no object can land above its threshold "
+            f"(every exp(-lam * threshold) underflows to 0), so no positive event exists"
+        )
+    weights /= total
+    events = _choice(_substream(seed, "__event__"), weights, n)
+    events += 1
+    return events
 
 
-def _detections(
-    path: TriggerPath, lam: float, seed: int, above: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One path's (negative, positive) detection outcomes, len(above) of each.
+def _choice(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
+    """rng.choice(len(p), n, p=p): the same draws and the same indices.
 
+    Generator.choice draws n uniforms and returns, for each, the number of
+    entries of cdf = p.cumsum() / its last entry at or below it, through a
+    binary search per uniform.  Up to CHOICE_SCAN_MAX entries, one
+    comparison pass per entry is faster.  p must be finite, >= 0, sum to 1.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    if len(cdf) > CHOICE_SCAN_MAX:
+        return cdf.searchsorted(u, side="right")
+    index = np.zeros(n, dtype=np.intp)
+    for edge in cdf[:-1]:  # cdf[-1] is 1.0, above every uniform
+        index += u >= edge
+    return index
+
+
+def _detections(path: TriggerPath, lam: float, seed: int, above, floats, flags):
+    """Yield one path's negative, then positive, detection outcomes.
+
+    Each is a boolean row of `flags`, valid until the next is drawn.
     Negative momenta lie below the threshold; positive ones lie above it
-    where `above` is true and below it elsewhere.  The draw order is fixed:
-    negative-block momenta, their detection outcomes, then the positive
-    blocks in the same order.
+    where `above` (1, or an int array of 0/1 per object) is 1 and below it
+    elsewhere.  The draw order is fixed: negative-block momenta, their
+    detection uniforms, then the positive blocks in the same order.
     """
     rng = _substream(seed, path.object_name)
-    threshold, count = path.curve.threshold, len(above)
-    u = rng.random(count)
-    negative = rng.random(count) < path.curve(_momenta_below(u, lam, threshold))
-    u = rng.random(count)
-    momenta = np.where(above, _momenta_above(u, lam, threshold), _momenta_below(u, lam, threshold))
-    return negative, rng.random(count) < path.curve(momenta)
+    momenta, uniforms, work, spare = floats
+    for side in (0, above):
+        _momenta(rng.random(out=momenta), work, lam, path.curve.threshold, side)
+        yield _detected(path.curve, momenta, rng.random(out=uniforms), work, spare, *flags)
+
+
+def _momenta(u: np.ndarray, work: np.ndarray, lam: float, threshold: float, above) -> None:
+    """Inverse-CDF momenta from the uniforms u, in place.
+
+    Below the threshold, the exponential truncated to (0, threshold]:
+    -log1p(-u * (1 - exp(-lam * threshold))) / lam.  Above it, the
+    memoryless tail threshold - log1p(-u) / lam.  One log1p serves both:
+    its argument is u times -1.0 or -(1 - exp(-lam * threshold)), then the
+    quotient by -lam gains an offset of threshold or 0.0.  Each step is
+    exact, so both forms come out bit for bit.
+    """
+    scale = np.array([-(1.0 - math.exp(-lam * threshold)), -1.0])
+    offset = np.array([0.0, threshold])
+    mixed = isinstance(above, np.ndarray)
+    np.multiply(u, scale.take(above, out=work) if mixed else scale[above], out=work)
+    np.log1p(work, out=u)
+    u /= -lam
+    u += offset.take(above, out=work) if mixed else offset[above]
+
+
+def _detected(
+    curve: EfficiencyCurve,
+    momenta: np.ndarray,
+    uniforms: np.ndarray,
+    work: np.ndarray,
+    spare: np.ndarray,
+    hit: np.ndarray,
+    unsure: np.ndarray,
+) -> np.ndarray:
+    """hit = uniforms < curve(momenta), elementwise, returned.
+
+    numpy's plateau / (1 + exp(-(p - T) / w)) decides every uniform that
+    lies clear of it; numpy's and libm's exp differ by far less than
+    CONFIRM_RTOL.  The curve itself decides the rest: a uniform within
+    CONFIRM_RTOL of the estimate, and a uniform of exactly 0, which the
+    estimate cannot settle where the two forms underflow at different p.
+    """
+    if curve.width == 0.0:
+        return np.less(uniforms, curve(momenta), out=hit)
+    with np.errstate(over="ignore"):  # a tiny width or a far p: exp -> inf, estimate 0
+        np.subtract(momenta, curve.threshold, out=work)
+        work /= -curve.width
+        np.exp(work, out=work)
+    work += 1.0
+    np.divide(curve.plateau, work, out=work)
+    np.less(uniforms, work, out=hit)
+    np.subtract(uniforms, work, out=spare)
+    np.abs(spare, out=spare)
+    work *= CONFIRM_RTOL
+    np.less_equal(spare, work, out=unsure)
+    if not uniforms.all():
+        unsure |= uniforms == 0.0
+    recheck = np.flatnonzero(unsure)
+    if recheck.size:
+        hit[recheck] = uniforms[recheck] < curve(momenta[recheck])
+    return hit
 
 
 def build_menu(menu: MenuSpec, seed: int = 0) -> ClassifierModel:

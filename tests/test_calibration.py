@@ -4,9 +4,13 @@ Trigger rates are checked against mpmath's hypergeometric function at 50
 digits and against dense fixed-grid trapezoid sums, the fitter against a
 log-grid scan, and the samplers against conditional expectations from
 quadrature, so no check leans on the code under test for its reference value.
+The sampler's exact output is pinned, and checked atom for atom against a
+straightforward reference sampler kept here; its screened detections and
+its subset rule are checked against the curve and Generator.choice.
 """
 
 import math
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,8 +35,9 @@ from daqflow.calibration import (
     sample_scores,
     trigger_rate,
 )
+from daqflow.classifier import EmpiricalScores
 from daqflow.config import load_config
-from daqflow.errors import FitInfeasibleError
+from daqflow.errors import DegeneratePopulationError, FitInfeasibleError
 
 CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
 
@@ -308,6 +313,228 @@ def test_summed_scores_are_path_outcome_sums():
     assert positive.mean() > negative.mean()
 
 
+# === pinned atoms: the sampler's exact output ===
+#
+# (values, cumulative) of the (negative, positive) scores, recorded from the
+# sampler that drew subsets with Generator.choice and decided every detection
+# with EfficiencyCurve, at the lams the bundled menus fit (held fixed here so
+# the pins test sampling alone).
+
+PINNED_LAMS = {
+    "l1_menu": (0.20924577050948936, 0.28533514160596984, 0.1651940293493413, 0.019616790985264598),
+    "hlt_menu": (
+        0.014675931849427705, 0.05870372739771083, 0.02445988641572978,
+        0.30574858019641055, 0.14675931849428636, 0.04076647735952197,
+    ),
+}
+PINNED_ATOMS = {
+    ("l1_menu", 0): (((0.0, 1.0, 2.0), (49527, 49999, 50000)),
+                     ((0.0, 1.0, 2.0, 3.0), (13970, 49678, 49999, 50000))),
+    ("l1_menu", 1): (((0.0, 1.0, 2.0), (49514, 49997, 50000)),
+                     ((0.0, 1.0, 2.0, 3.0), (13992, 49692, 49999, 50000))),
+    ("l1_menu", 20240): (((0.0, 1.0, 2.0), (49548, 49999, 50000)),
+                         ((0.0, 1.0, 2.0, 3.0), (14035, 49626, 49998, 50000))),
+    ("hlt_menu", 0): (((0.0, 1.0), (49994, 50000)), ((0.0, 1.0), (8129, 50000))),
+    ("hlt_menu", 1): (((0.0, 1.0), (49997, 50000)), ((0.0, 1.0), (8269, 50000))),
+    ("hlt_menu", 20240): (((0.0, 1.0), (49995, 50000)), ((0.0, 1.0), (8225, 50000))),
+}
+
+
+def _atoms(scores):
+    return tuple((s.values, s.cumulative) for s in scores)
+
+
+@pytest.mark.parametrize(("menu_name", "seed"), list(PINNED_ATOMS))
+def test_bundled_menu_atoms_are_pinned(menu_name, seed):
+    menu = load_config(CONFIG_DIR / "cms_base.cfg").menus[menu_name]
+    sampled = sample_scores(menu.paths, PINNED_LAMS[menu_name], menu.mode, menu.sample_count, seed)
+    assert _atoms(sampled) == PINNED_ATOMS[menu_name, seed]
+
+
+@pytest.mark.parametrize(
+    "path, lam, mode, seed, atoms",
+    [
+        (
+            TriggerPath("step", EfficiencyCurve(40.0, 0.0, 0.9), 1e4, 1e6),
+            0.11249524175825662, "one-at-a-time", 7,
+            (((0.0,), (50000,)), ((0.0, 1.0), (5006, 50000))),
+        ),
+        (
+            TriggerPath("egamma", EfficiencyCurve(30.0, 3.0, 0.95), 150e3, 40e6),
+            0.20924577050948936, "summed", 11,
+            (((0.0, 1.0), (49882, 50000)), ((0.0, 1.0), (14155, 50000))),
+        ),
+    ],
+    ids=["width_0", "summed"],
+)
+def test_single_path_atoms_are_pinned(path, lam, mode, seed, atoms):
+    assert _atoms(sample_scores([path], [lam], mode, 50_000, seed)) == atoms
+
+
+# === the sampler's shortcuts against the calls they replace ===
+
+_DRAWS = ("uniform", "zero", "estimate", "curve", "below", "above")
+
+
+class _SkewedNumpy:
+    """numpy with an exp up to 4 ulps off libm's that overflows later than libm's.
+
+    The screened detection must stay exact on a platform whose exp is not
+    libm's: its estimate differs inside the confirm margin, and a zero
+    uniform meets an estimate above 0 where libm's curve is 0.
+    """
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def exp(x, out):
+        x = x.copy()  # the screen exponentiates in place
+        with np.errstate(over="ignore"):
+            skew = 1.0 + 4.0 * np.finfo(float).eps * np.cos(np.clip(x, -1e3, 1e3))
+            np.multiply(np.exp(x), skew, out=out)
+        out[np.isinf(out) & (x < 709.79)] = np.finfo(float).max
+        return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    threshold=st.floats(1.0, 500.0),
+    width=st.one_of(st.sampled_from([0.0, 1e-310, 1e-300, 1e-9]), st.floats(1e-6, 100.0)),
+    plateau=st.floats(1e-3, 1.0),
+    widths_off=st.lists(
+        st.one_of(st.floats(-800.0, 60.0), st.floats(-746.0, -700.0), st.floats(-709.79, -709.78)),
+        min_size=1,
+        max_size=30,
+    ),
+    spread=st.lists(st.floats(0.0, 4.0), max_size=10),
+    draws=st.lists(st.tuples(st.sampled_from(_DRAWS), st.integers(0, 2**53 - 1)), min_size=1),
+    skewed=st.booleans(),
+)
+def test_screened_detection_equals_the_curve_comparison(
+    threshold, width, plateau, widths_off, spread, draws, skewed
+):
+    """_detected(curve, p, d) == (d < curve(p)) elementwise.
+
+    Momenta sit some widths below or above the threshold, down to where expit
+    underflows (745 widths below) and across the point where exp overflows
+    (709.78), or anywhere up to 4 thresholds.  A uniform is what rng.random
+    returns (k * 2^-53, so 0 or >= 2^-53), or it is forced onto the screen's
+    own estimate, or onto or next to the curve's value where that is a
+    normal float.  Half the examples screen with a skewed exp.
+    """
+    curve = EfficiencyCurve(threshold, width, plateau)
+    p = np.array([threshold + z * width for z in widths_off] + [x * threshold for x in spread])
+    exact = curve(p)
+    with np.errstate(over="ignore"):
+        estimate = plateau / (1.0 + np.exp(-(p - threshold) / width)) if width else exact
+    d = np.empty(p.size)
+    for i in range(p.size):
+        kind, k = draws[i % len(draws)]
+        normal = exact[i] >= np.finfo(float).tiny
+        d[i] = {
+            "zero": 0.0,
+            "estimate": estimate[i],
+            "curve": exact[i] if normal else k * 2.0**-53,
+            "below": np.nextafter(exact[i], 0.0) if normal else k * 2.0**-53,
+            "above": np.nextafter(exact[i], 2.0) if normal else k * 2.0**-53,
+        }.get(kind, k * 2.0**-53)
+    n = p.size
+    buffers = np.empty(n), np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    with pytest.MonkeyPatch.context() as patch:
+        if skewed:
+            patch.setattr(calibration, "np", _SkewedNumpy())
+        hit = calibration._detected(curve, p, d, *buffers)
+    np.testing.assert_array_equal(hit, d < exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.integers(1, 130)
+    .flatmap(lambda k: st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=k, max_size=k))
+    .filter(lambda w: sum(w) > 0.0),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(0, 3000),
+)
+def test_subset_rule_equals_generator_choice(weights, seed, n):
+    # up to CHOICE_SCAN_MAX entries the rule scans the cdf, past it it binary-searches
+    p = np.array(weights)
+    p /= p.sum()
+    expected = np.random.default_rng(seed).choice(len(p), n, p=p)
+    np.testing.assert_array_equal(calibration._choice(np.random.default_rng(seed), p, n), expected)
+
+
+def _reference_sample_scores(paths, lams, mode, n, seed):
+    """The sampler as first written: Generator.choice for the above-threshold
+    subsets, np.where over both momentum branches, EfficiencyCurve for every
+    detection and np.unique over float scores."""
+
+    def stream(label):
+        entropy = np.random.SeedSequence((seed, zlib.crc32(label.encode("utf-8"))))
+        return np.random.Generator(np.random.PCG64(entropy))
+
+    def below(u, lam, t):
+        return -np.log1p(-u * (1.0 - math.exp(-lam * t))) / lam
+
+    def detections(path, lam, above):
+        rng, t = stream(path.object_name), path.curve.threshold
+        u = rng.random(len(above))
+        negative = rng.random(len(above)) < path.curve(below(u, lam, t))
+        u = rng.random(len(above))
+        momenta = np.where(above, t - np.log1p(-u) / lam, below(u, lam, t))
+        return negative, rng.random(len(above)) < path.curve(momenta)
+
+    k = len(paths)
+    if mode == "summed":
+        a = np.array([math.exp(-lam * path.curve.threshold) for path, lam in zip(paths, lams)])
+        masks = np.array([[(s + 1) >> i & 1 for i in range(k)] for s in range(2**k - 1)], dtype=bool)
+        weights = np.prod(np.where(masks, a, 1.0 - a), axis=1)
+        weights /= weights.sum()
+        above = masks[stream("__event__").choice(len(weights), size=n, p=weights)]
+        parts = [detections(path, lam, above[:, i]) for i, (path, lam) in enumerate(zip(paths, lams))]
+        sides = (np.sum(side, axis=0, dtype=float) for side in zip(*parts))
+    else:
+        shares = np.array_split(np.ones(n, dtype=bool), k)
+        parts = [detections(path, lam, above) for path, lam, above in zip(paths, lams, shares)]
+        sides = (np.concatenate(side).astype(float) for side in zip(*parts))
+    return tuple(EmpiricalScores.from_samples(side) for side in sides)
+
+
+_reference_paths = st.lists(
+    st.tuples(
+        st.floats(1.0, 400.0),  # threshold
+        st.one_of(st.sampled_from([0.0, 1e-310]), st.floats(1e-3, 0.5)),  # width / threshold
+        st.floats(0.01, 1.0),  # plateau
+        st.floats(-4.0, 0.5),  # log10(lam * threshold)
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=_reference_paths,
+    mode=st.sampled_from(["summed", "one-at-a-time"]),
+    n=st.integers(1000, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampler_matches_its_reference_atom_for_atom(specs, mode, n, seed):
+    paths, lams = [], []
+    for i, (threshold, relative_width, plateau, log_at) in enumerate(specs):
+        curve = EfficiencyCurve(threshold, relative_width * threshold, plateau)
+        paths.append(TriggerPath(f"p{i}", curve, empirical_rate=1.0, input_rate=1e6))
+        lams.append(10.0**log_at / threshold)
+    sampled = sample_scores(paths, lams, mode, n, seed)
+    assert _atoms(sampled) == _atoms(_reference_sample_scores(paths, lams, mode, n, seed))
+
+
+def test_summed_menu_with_no_object_above_threshold_is_degenerate():
+    paths = [_sigmoid_path(threshold=500.0), replace(_sigmoid_path(threshold=500.0), object_name="b")]
+    with pytest.raises(DegeneratePopulationError, match="'obj', 'b'.*no positive event"):
+        sample_scores(paths, [10.0, 10.0], "summed", n=2000)
+
+
 def test_build_menu_fits_and_returns_model():
     menu = MenuSpec(
         name="m",
@@ -429,6 +656,8 @@ def test_spec_validation():
         sample_scores([_sigmoid_path()], [0.1], "summed", n=10)
     with pytest.raises(ValueError):  # one lam per path
         sample_scores([_sigmoid_path()], [], "summed", n=2000)
+    with pytest.raises(ValueError, match="unknown sampling mode 'bogus'"):
+        sample_scores([_sigmoid_path()], [0.1], "bogus", n=2000)
     for lam in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="lam must be finite"):
             sample_scores([_sigmoid_path()], [lam], "summed", n=2000)

@@ -445,6 +445,8 @@ def test_validation_errors():
     for skill in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="skill_factor"):
             apply_skill(model, skill)
+    with pytest.raises(ValueError, match="skill_factor must be >= 0"):
+        dataclasses.replace(model, skill_factor=-0.5)
 
 
 def test_uniform_family_support_and_solving():

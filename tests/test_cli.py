@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -247,6 +248,34 @@ def test_a_vanishing_turn_on_width_runs_with_an_empty_stderr(tmp_path, capsys):
     body = f"calibration:\n  menus:\n    l1_menu:\n      paths:\n{paths}"
     assert main(["run", str(_extending_base(tmp_path, body))]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_summed_menu_with_nothing_above_threshold_is_one_error_line(tmp_path, capsys):
+    # both paths fit exp(-lam * 500 GeV) == 0: no positive event can be drawn
+    paths = "".join(
+        f'        - {{name: {name}, threshold: "500 GeV", width: "15 GeV", plateau: 0.95,'
+        f' empirical_rate: "{rate} Hz", input_rate: "100 kHz"}}\n'
+        for name, rate in (("a", "3.25e-10"), ("b", "3.2e-10"))
+    )
+    body = f"calibration:\n  menus:\n    l1_menu:\n      mode: summed\n      paths:\n{paths}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(_extending_base(tmp_path, body))]) == 1
+    assert caught == []
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: summed menu of paths 'a', 'b': no object can land above")
+
+
+def test_a_non_boolean_variant_switch_is_a_located_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(
+        f"extends: {CONFIG_DIR / 'cms_base.cfg'}\nvariants:\n  gpu_hlt:\n    enabled: 5\n"
+    )
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: invalid configuration (1 problem)",
+        "  at bad.cfg:4: variants.gpu_hlt.enabled: expected true/false, got 5",
+    ]
 
 
 def test_sweep_without_a_sweep_section_exits_2(capsys):

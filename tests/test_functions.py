@@ -143,3 +143,6 @@ def test_table_scaling():
     assert s(300.0) == 5.0  # clamps; callers warn on out-of-domain use
     with pytest.raises(ValueError):
         TableScaling(pileups=(100.0, 50.0), multipliers=(1.0, 2.0))
+    for pileups, multipliers in [((50.0,), (1.0,)), ((50.0, 100.0), (1.0, 2.0, 3.0))]:
+        with pytest.raises(ValueError, match=">= 2 points of equal length"):
+            TableScaling(pileups=pileups, multipliers=multipliers)

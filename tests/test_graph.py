@@ -397,6 +397,35 @@ def test_unknown_ids_raise_model_errors():
         g.node("nope")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SensorNode("s", 1.0, 1.0, constant_power_w=math.inf), "must be finite"),
+        (lambda: SensorNode("s", 0.0, 1.0), "sample_size and sample_rate must be positive"),
+        (lambda: SensorNode("s", 1.0, -1.0), "sample_size and sample_rate must be positive"),
+        (lambda: SensorNode("s", 1.0, 1.0, relevant_fraction=1.5), r"relevant_fraction must lie in \[0, 1\]"),
+        (lambda: SensorNode("s", 1.0, 1.0, constant_power_w=-1.0), "constant_power_w must be >= 0"),
+        (lambda: ProcessNode("p", ConstantFn(1.0), math.nan, ConstantFn(1.0)), "must be finite"),
+        (lambda: ProcessNode("p", ConstantFn(1.0), -1.0, ConstantFn(1.0)), "energy_per_op must be >= 0"),
+        (
+            lambda: ProcessNode("p", ConstantFn(1.0), 1.0, ConstantFn(1.0), reduction_target=1.0),
+            "reduction_target must exceed 1",
+        ),
+        (lambda: CommLink("l", "a", "b", math.inf, 1.0), "must be finite"),
+        (lambda: CommLink("l", "a", "b", -1.0, 1.0), "energy_per_bit must be >= 0"),
+        (lambda: CommLink("l", "a", "b", 1.0, 0.0), "bandwidth_per_channel must be positive"),
+    ],
+    ids=[
+        "sensor_inf_power", "sensor_zero_size", "sensor_negative_rate", "sensor_fraction_above_1",
+        "sensor_negative_power", "process_nan_energy", "process_negative_energy",
+        "process_target_1", "link_inf_energy", "link_negative_energy", "link_zero_bandwidth",
+    ],
+)
+def test_node_and_link_constructors_reject_bad_numbers(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_find_role():
     g = PipelineGraph(
         nodes=(
