@@ -27,9 +27,9 @@ negative momenta, their detection uniforms, the positive momenta, theirs.
 An outcome is `uniform < eff(p)`.  numpy's estimate of eff(p) decides it
 when the uniform lies clear of the estimate; a uniform within CONFIRM_RTOL
 of it, or exactly 0, goes to EfficiencyCurve itself, so the outcome is the
-one the curve gives.  The subset draw repeats Generator.choice(p=weights):
-the same n uniforms, and as index the number of entries of
-cdf = cumsum(weights) / its last entry at or below each.
+one the curve gives.  A summed menu's positive events draw their subsets
+with one Generator.choice(p=weights) call on the event stream; path i is
+above in subset s when bit i of s + 1 is set.
 
 Calibrate once: `build_menu` keeps two bounded least-recently-used memos.
 A fitted lam depends only on its TriggerPath (it has no seed), so a menu
@@ -79,9 +79,6 @@ LAMBDA_CACHE_SIZE = 1024
 # A detection whose uniform lies within this relative distance of numpy's
 # estimate of eff(p) is decided by EfficiencyCurve itself (see _detected).
 CONFIRM_RTOL = 1e-12
-# _choice scans a cdf of at most this many entries (a summed menu of up to 6
-# paths has 63 subsets) and binary-searches a longer one
-CHOICE_SCAN_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -278,29 +275,23 @@ def sample_scores(
     for path, lam in fitted:
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"path {path.object_name!r}: lam must be finite and > 0, got {lam}")
-    # reused by every path: momenta, detection uniforms, two work rows; hits, flags
-    floats, flags = np.empty((4, n)), np.empty((2, n), dtype=bool)
+    scores = np.zeros((2, n), dtype=np.int8)  # per sample, its paths' detections (k <= 20)
+    # scratch rows every path overwrites: fresh n-sized arrays per path cost page faults
+    work = np.empty((4, n))
     if mode == "summed":
         events = _above_subsets(fitted, n, seed)
-        above = np.empty(n, dtype=np.intp)
-        scores = np.zeros((2, n), dtype=np.int8)  # k <= 20 detections per event
+        above = np.empty_like(events)
         for i, (path, lam) in enumerate(fitted):
             np.right_shift(events, i, out=above)
             above &= 1
-            for score, hit in zip(scores, _detections(path, lam, seed, above, floats, flags)):
-                score += hit
-        counts = [np.bincount(score) for score in scores]
+            _add_detections(path, lam, seed, above, scores, work)
     elif mode == "one-at-a-time":
         # n split over the k paths, the first n % k one larger; positives all above threshold
-        k, hits = len(fitted), np.zeros(2, dtype=np.int64)
-        for i, (path, lam) in enumerate(fitted):
-            count = n // k + (i < n % k)
-            sides = _detections(path, lam, seed, 1, floats[:, :count], flags[:, :count])
-            hits += [np.count_nonzero(hit) for hit in sides]
-        counts = [np.array([n - hit, hit]) for hit in hits]
+        for (path, lam), share in zip(fitted, np.array_split(scores, len(fitted), axis=1)):
+            _add_detections(path, lam, seed, 1, share, work)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    negative, positive = map(_scores_from_counts, counts)
+    negative, positive = (_scores_from_counts(np.bincount(score)) for score in scores)
     return negative, positive
 
 
@@ -333,47 +324,29 @@ def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
             f"(every exp(-lam * threshold) underflows to 0), so no positive event exists"
         )
     weights /= total
-    events = _choice(_substream(seed, "__event__"), weights, n)
-    events += 1
-    return events
+    subset = _substream(seed, "__event__").choice(len(weights), size=n, p=weights)
+    return subset + 1
 
 
-def _choice(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
-    """rng.choice(len(p), n, p=p): the same draws and the same indices.
+def _add_detections(
+    path: TriggerPath, lam: float, seed: int, above, scores: np.ndarray, work: np.ndarray
+) -> None:
+    """Add one path's detection outcomes to scores[0] (negative) and scores[1] (positive).
 
-    Generator.choice draws n uniforms and returns, for each, the number of
-    entries of cdf = p.cumsum() / its last entry at or below it, through a
-    binary search per uniform.  Up to CHOICE_SCAN_MAX entries, one
-    comparison pass per entry is faster.  p must be finite, >= 0, sum to 1.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(n)
-    if len(cdf) > CHOICE_SCAN_MAX:
-        return cdf.searchsorted(u, side="right")
-    index = np.zeros(n, dtype=np.intp)
-    for edge in cdf[:-1]:  # cdf[-1] is 1.0, above every uniform
-        index += u >= edge
-    return index
-
-
-def _detections(path: TriggerPath, lam: float, seed: int, above, floats, flags):
-    """Yield one path's negative, then positive, detection outcomes.
-
-    Each is a boolean row of `flags`, valid until the next is drawn.
     Negative momenta lie below the threshold; positive ones lie above it
-    where `above` (1, or an int array of 0/1 per object) is 1 and below it
+    where `above` (1, or an int array of 0/1 per sample) is 1 and below it
     elsewhere.  The draw order is fixed: negative-block momenta, their
-    detection uniforms, then the positive blocks in the same order.
+    detection uniforms, then the positive blocks in the same order.  work
+    holds four rows of at least len(scores[0]) floats, overwritten.
     """
-    rng = _substream(seed, path.object_name)
-    momenta, uniforms, work, spare = floats
-    for side in (0, above):
-        _momenta(rng.random(out=momenta), work, lam, path.curve.threshold, side)
-        yield _detected(path.curve, momenta, rng.random(out=uniforms), work, spare, *flags)
+    rng, n = _substream(seed, path.object_name), scores.shape[1]
+    momenta, uniforms, estimate, gap = work[:, :n]
+    for side, score in zip((0, above), scores):
+        _momenta(rng.random(out=momenta), lam, path.curve.threshold, side)
+        score += _detected(path.curve, momenta, rng.random(out=uniforms), estimate, gap)
 
 
-def _momenta(u: np.ndarray, work: np.ndarray, lam: float, threshold: float, above) -> None:
+def _momenta(u: np.ndarray, lam: float, threshold: float, above) -> np.ndarray:
     """Inverse-CDF momenta from the uniforms u, in place.
 
     Below the threshold, the exponential truncated to (0, threshold]:
@@ -383,25 +356,21 @@ def _momenta(u: np.ndarray, work: np.ndarray, lam: float, threshold: float, abov
     quotient by -lam gains an offset of threshold or 0.0.  Each step is
     exact, so both forms come out bit for bit.
     """
-    scale = np.array([-(1.0 - math.exp(-lam * threshold)), -1.0])
-    offset = np.array([0.0, threshold])
-    mixed = isinstance(above, np.ndarray)
-    np.multiply(u, scale.take(above, out=work) if mixed else scale[above], out=work)
-    np.log1p(work, out=u)
+    u *= np.array([-(1.0 - math.exp(-lam * threshold)), -1.0]).take(above)
+    np.log1p(u, out=u)
     u /= -lam
-    u += offset.take(above, out=work) if mixed else offset[above]
+    u += np.array([0.0, threshold]).take(above)
+    return u
 
 
 def _detected(
     curve: EfficiencyCurve,
     momenta: np.ndarray,
     uniforms: np.ndarray,
-    work: np.ndarray,
-    spare: np.ndarray,
-    hit: np.ndarray,
-    unsure: np.ndarray,
+    estimate: np.ndarray,
+    gap: np.ndarray,
 ) -> np.ndarray:
-    """hit = uniforms < curve(momenta), elementwise, returned.
+    """uniforms < curve(momenta), elementwise; estimate and gap are overwritten.
 
     numpy's plateau / (1 + exp(-(p - T) / w)) decides every uniform that
     lies clear of it; numpy's and libm's exp differ by far less than
@@ -410,18 +379,18 @@ def _detected(
     estimate cannot settle where the two forms underflow at different p.
     """
     if curve.width == 0.0:
-        return np.less(uniforms, curve(momenta), out=hit)
+        return uniforms < curve(momenta)
     with np.errstate(over="ignore"):  # a tiny width or a far p: exp -> inf, estimate 0
-        np.subtract(momenta, curve.threshold, out=work)
-        work /= -curve.width
-        np.exp(work, out=work)
-    work += 1.0
-    np.divide(curve.plateau, work, out=work)
-    np.less(uniforms, work, out=hit)
-    np.subtract(uniforms, work, out=spare)
-    np.abs(spare, out=spare)
-    work *= CONFIRM_RTOL
-    np.less_equal(spare, work, out=unsure)
+        np.subtract(momenta, curve.threshold, out=estimate)
+        estimate /= -curve.width
+        np.exp(estimate, out=estimate)
+    estimate += 1.0
+    np.divide(curve.plateau, estimate, out=estimate)
+    hit = uniforms < estimate
+    np.subtract(uniforms, estimate, out=gap)
+    np.abs(gap, out=gap)
+    estimate *= CONFIRM_RTOL
+    unsure = gap <= estimate
     if not uniforms.all():
         unsure |= uniforms == 0.0
     recheck = np.flatnonzero(unsure)

@@ -5,8 +5,8 @@ digits and against dense fixed-grid trapezoid sums, the fitter against a
 log-grid scan, and the samplers against conditional expectations from
 quadrature, so no check leans on the code under test for its reference value.
 The sampler's exact output is pinned, and checked atom for atom against a
-straightforward reference sampler kept here; its screened detections and
-its subset rule are checked against the curve and Generator.choice.
+straightforward reference sampler kept here; its screened detections are
+checked against the curve.
 """
 
 import math
@@ -316,8 +316,7 @@ def test_summed_scores_are_path_outcome_sums():
 # === pinned atoms: the sampler's exact output ===
 #
 # (values, cumulative) of the (negative, positive) scores, recorded from the
-# sampler that drew subsets with Generator.choice and decided every detection
-# with EfficiencyCurve, at the lams the bundled menus fit (held fixed here so
+# sampler that decided every detection with EfficiencyCurve, at the lams the bundled menus fit (held fixed here so
 # the pins test sampling alone).
 
 PINNED_LAMS = {
@@ -439,29 +438,11 @@ def test_screened_detection_equals_the_curve_comparison(
             "below": np.nextafter(exact[i], 0.0) if normal else k * 2.0**-53,
             "above": np.nextafter(exact[i], 2.0) if normal else k * 2.0**-53,
         }.get(kind, k * 2.0**-53)
-    n = p.size
-    buffers = np.empty(n), np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     with pytest.MonkeyPatch.context() as patch:
         if skewed:
             patch.setattr(calibration, "np", _SkewedNumpy())
-        hit = calibration._detected(curve, p, d, *buffers)
+        hit = calibration._detected(curve, p, d, np.empty(p.size), np.empty(p.size))
     np.testing.assert_array_equal(hit, d < exact)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    weights=st.integers(1, 130)
-    .flatmap(lambda k: st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=k, max_size=k))
-    .filter(lambda w: sum(w) > 0.0),
-    seed=st.integers(0, 2**64 - 1),
-    n=st.integers(0, 3000),
-)
-def test_subset_rule_equals_generator_choice(weights, seed, n):
-    # up to CHOICE_SCAN_MAX entries the rule scans the cdf, past it it binary-searches
-    p = np.array(weights)
-    p /= p.sum()
-    expected = np.random.default_rng(seed).choice(len(p), n, p=p)
-    np.testing.assert_array_equal(calibration._choice(np.random.default_rng(seed), p, n), expected)
 
 
 def _reference_sample_scores(paths, lams, mode, n, seed):
