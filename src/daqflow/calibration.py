@@ -2,8 +2,9 @@
 
 Builds the first-stage (L1T) and second-stage (HLT) classifier models from
 per-path trigger descriptions.  Each path has a logistic turn-on curve
-eff(p) = plateau * expit((p - threshold) / width) and an exponential momentum
-spectrum PDF(p) = lam * exp(-lam * p); lam is fitted so the modeled path rate
+eff(p) = plateau / (1 + exp((threshold - p) / width)) and an exponential
+momentum spectrum PDF(p) = lam * exp(-lam * p); lam is fitted so the modeled
+path rate
 
     rate(lam) = input_rate * integral eff(p) * PDF(lam, p) dp
 
@@ -21,13 +22,12 @@ downstream threshold solver works against.
 PRNG: numpy PCG64.  Path substreams are seeded with SeedSequence((seed,
 crc32(path_name))) and subset choices for positive events come from a
 dedicated event stream SeedSequence((seed, crc32("__event__"))), so sampling
-is bit-identical across runs and platforms for a given seed, regardless of
-path iteration order.  Each path draws four blocks in a fixed order: the
-negative momenta, their detection uniforms, the positive momenta, theirs.
-An outcome is `uniform < eff(p)`.  numpy's estimate of eff(p) decides it
-when the uniform lies clear of the estimate; a uniform within CONFIRM_RTOL
-of it, or exactly 0, goes to EfficiencyCurve itself, so the outcome is the
-one the curve gives.  A summed menu's positive events draw their subsets
+is bit-identical across runs for a given seed, regardless of path iteration
+order.  Each path draws four blocks in a fixed order: the negative momenta,
+their detection uniforms, the positive momenta, theirs.  An outcome is
+`uniform < eff(p)`, with eff(p) from numpy's exp; platforms agree as far as
+their exp agrees, to a few ulps, so an outcome can differ only for a uniform
+that close to eff(p).  A summed menu's positive events draw their subsets
 with one Generator.choice(p=weights) call on the event stream; path i is
 above in subset s when bit i of s + 1 is set.
 
@@ -76,14 +76,10 @@ DEFAULT_SAMPLE_COUNT = 50_000
 MODEL_CACHE_SIZE = 64
 LAMBDA_CACHE_SIZE = 1024
 
-# A detection whose uniform lies within this relative distance of numpy's
-# estimate of eff(p) is decided by EfficiencyCurve itself (see _detected).
-CONFIRM_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class EfficiencyCurve:
-    """Logistic turn-on: plateau * expit((p - threshold) / width).
+    """Logistic turn-on: plateau / (1 + exp((threshold - p) / width)).
 
     width = 0 degenerates to a step at the threshold.
     """
@@ -103,15 +99,26 @@ class EfficiencyCurve:
             raise ValueError("plateau must lie in (0, 1]")
 
     def __call__(self, p):
-        if self.width == 0.0:
-            return self.plateau * (np.asarray(p, dtype=float) > self.threshold)
-        from scipy.special import expit  # imported here: `import daqflow` loads no scipy
+        return _turn_on(self, np.array(p, dtype=float))
 
-        # (p - T)/w overflows to ±inf at a tiny width, or at a p far from T;
-        # expit(±inf) is exactly 0 or 1, the step the curve tends to
-        with np.errstate(over="ignore"):
-            z = (np.asarray(p, dtype=float) - self.threshold) / self.width
-        return self.plateau * expit(z)
+
+def _turn_on(curve: EfficiencyCurve, p: np.ndarray) -> np.ndarray:
+    """Overwrite the float array p with eff(p) and return it; a width of 0 is a step.
+
+    (T - p)/w overflows to ±inf at a tiny width or a p far from T, and exp
+    overflows to inf: either gives exactly 0 or plateau, the step the curve
+    tends to.
+    """
+    if curve.width == 0.0:
+        np.greater(p, curve.threshold, out=p)
+        p *= curve.plateau
+        return p
+    np.subtract(curve.threshold, p, out=p)
+    with np.errstate(over="ignore"):
+        p /= curve.width
+        np.exp(p, out=p)
+    p += 1.0
+    return np.divide(curve.plateau, p, out=p)
 
 
 @dataclass(frozen=True)
@@ -277,7 +284,7 @@ def sample_scores(
             raise ValueError(f"path {path.object_name!r}: lam must be finite and > 0, got {lam}")
     scores = np.zeros((2, n), dtype=np.int8)  # per sample, its paths' detections (k <= 20)
     # scratch rows every path overwrites: fresh n-sized arrays per path cost page faults
-    work = np.empty((4, n))
+    work = np.empty((2, n))
     if mode == "summed":
         events = _above_subsets(fitted, n, seed)
         above = np.empty_like(events)
@@ -310,12 +317,14 @@ def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
     where a = exp(-lam * threshold) is the path's chance of an object above.
     Subset s (0-based) has mask s + 1: bit i set means path i is above.
     """
-    k = len(fitted)
-    if k > 20:
+    if len(fitted) > 20:
         raise ValueError("summed mode enumerates 2^k - 1 subsets; menu too large")
-    above_prob = np.array([math.exp(-lam * path.curve.threshold) for path, lam in fitted])
-    masks = np.array([[(s + 1) >> i & 1 for i in range(k)] for s in range(2**k - 1)], dtype=bool)
-    weights = np.prod(np.where(masks, above_prob, 1.0 - above_prob), axis=1)
+    # weights[m] = P(mask m): path i doubles the table, its upper half setting bit i
+    weights = np.ones(1)
+    for path, lam in fitted:
+        above_prob = math.exp(-lam * path.curve.threshold)
+        weights = np.concatenate((weights * (1.0 - above_prob), weights * above_prob))
+    weights = weights[1:]
     total = weights.sum()
     if not total > 0.0:
         names = ", ".join(repr(path.object_name) for path, _ in fitted)
@@ -337,13 +346,13 @@ def _add_detections(
     where `above` (1, or an int array of 0/1 per sample) is 1 and below it
     elsewhere.  The draw order is fixed: negative-block momenta, their
     detection uniforms, then the positive blocks in the same order.  work
-    holds four rows of at least len(scores[0]) floats, overwritten.
+    holds two rows of at least len(scores[0]) floats, overwritten.
     """
     rng, n = _substream(seed, path.object_name), scores.shape[1]
-    momenta, uniforms, estimate, gap = work[:, :n]
+    momenta, uniforms = work[:, :n]
     for side, score in zip((0, above), scores):
         _momenta(rng.random(out=momenta), lam, path.curve.threshold, side)
-        score += _detected(path.curve, momenta, rng.random(out=uniforms), estimate, gap)
+        score += rng.random(out=uniforms) < _turn_on(path.curve, momenta)
 
 
 def _momenta(u: np.ndarray, lam: float, threshold: float, above) -> np.ndarray:
@@ -361,42 +370,6 @@ def _momenta(u: np.ndarray, lam: float, threshold: float, above) -> np.ndarray:
     u /= -lam
     u += np.array([0.0, threshold]).take(above)
     return u
-
-
-def _detected(
-    curve: EfficiencyCurve,
-    momenta: np.ndarray,
-    uniforms: np.ndarray,
-    estimate: np.ndarray,
-    gap: np.ndarray,
-) -> np.ndarray:
-    """uniforms < curve(momenta), elementwise; estimate and gap are overwritten.
-
-    numpy's plateau / (1 + exp(-(p - T) / w)) decides every uniform that
-    lies clear of it; numpy's and libm's exp differ by far less than
-    CONFIRM_RTOL.  The curve itself decides the rest: a uniform within
-    CONFIRM_RTOL of the estimate, and a uniform of exactly 0, which the
-    estimate cannot settle where the two forms underflow at different p.
-    """
-    if curve.width == 0.0:
-        return uniforms < curve(momenta)
-    with np.errstate(over="ignore"):  # a tiny width or a far p: exp -> inf, estimate 0
-        np.subtract(momenta, curve.threshold, out=estimate)
-        estimate /= -curve.width
-        np.exp(estimate, out=estimate)
-    estimate += 1.0
-    np.divide(curve.plateau, estimate, out=estimate)
-    hit = uniforms < estimate
-    np.subtract(uniforms, estimate, out=gap)
-    np.abs(gap, out=gap)
-    estimate *= CONFIRM_RTOL
-    unsure = gap <= estimate
-    if not uniforms.all():
-        unsure |= uniforms == 0.0
-    recheck = np.flatnonzero(unsure)
-    if recheck.size:
-        hit[recheck] = uniforms[recheck] < curve(momenta[recheck])
-    return hit
 
 
 def build_menu(menu: MenuSpec, seed: int = 0) -> ClassifierModel:

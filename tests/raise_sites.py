@@ -8,7 +8,8 @@ checkout, with any extra pytest arguments after it,
 It runs the suite in process under `sys.settrace`, records each executed
 line of a `raise` statement in the package, and prints the unreached ones as
 file:line with the total count.  Lines run only in worker processes (sweeps
-with --jobs > 1) are not seen.  The exit code is pytest's.
+with --jobs > 1) are not seen.  The exit code is pytest's when the suite
+fails, and 1 when it passes but leaves a raise unreached.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def main(argv: list[str]) -> int:
     ]
     print("\n".join(unreached))
     print(f"{len(unreached)} of {total} raise statements never executed")
-    return int(code)
+    return int(code) or int(bool(unreached))
 
 
 if __name__ == "__main__":

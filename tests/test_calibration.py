@@ -131,6 +131,34 @@ def test_an_overflowing_turn_on_quotient_is_a_step_without_a_warning(width, p, e
     assert curve(np.array(p)).tolist() == expected
 
 
+@pytest.mark.parametrize("width", [0.0, 1e-310])
+def test_a_vanishing_width_is_a_step(width):
+    curve = EfficiencyCurve(threshold=30.0, width=width, plateau=0.95)
+    p = np.array([0.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, 60.0), 1e3])
+    assert curve(p).tolist() == [0.0, 0.0, 0.95, 0.95]
+
+
+@pytest.mark.parametrize("plateau", [1.0, 0.95, 1e-3])
+@pytest.mark.parametrize("width", [1e-6, 0.05, 2.0, 80.0])
+def test_the_curve_is_within_4_ulps_of_scaled_expit(width, plateau):
+    # (p - T)/w from below where expit underflows, past exp's overflow at
+    # -709.78, to 40 widths above the threshold
+    p = 30.0 + np.linspace(-745.0, 40.0, 200_001) * width
+    curve = EfficiencyCurve(threshold=30.0, width=width, plateau=plateau)(p)
+    reference = plateau * expit((p - 30.0) / width)
+    normal = reference >= np.finfo(float).tiny
+    ulps = np.abs(curve - reference)[normal] / np.spacing(reference[normal])
+    assert ulps.max() <= 4.0
+    assert np.all(curve[~normal] < np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("width", [0.0, 2.0])
+def test_the_curve_leaves_its_argument_unchanged(width):
+    p = np.linspace(0.0, 60.0, 13)
+    EfficiencyCurve(threshold=30.0, width=width, plateau=0.95)(p)
+    assert p.tolist() == np.linspace(0.0, 60.0, 13).tolist()
+
+
 def test_fit_lambda_matches_grid_scan():
     path = _sigmoid_path(rate=10e3)
     fitted = fit_lambda(path)
@@ -194,6 +222,15 @@ def test_fit_either_hits_the_target_or_reports_infeasible(
     except FitInfeasibleError:
         return
     assert abs(trigger_rate(path, lam) / path.empirical_rate - 1.0) <= FIT_RATE_RTOL
+
+
+def test_fit_reports_a_root_whose_rate_underflows_to_zero():
+    # the rate at the top of the bracket underflows to 0 Hz, below the
+    # 1e-320 Hz target, so the bracket holds it; the rate at the root
+    # Brent's method returns underflows as well, 0 Hz against 1e-320 Hz
+    path = TriggerPath("x", EfficiencyCurve(80.0, 0.0, 0.95), 1e-320, 40e6)
+    with pytest.raises(FitInfeasibleError, match=r"Brent's method stopped at lam=9\.31.*rate 0 Hz"):
+        fit_lambda(path)
 
 
 @pytest.mark.parametrize("width", [0.0, 0.1])
@@ -372,78 +409,6 @@ def test_single_path_atoms_are_pinned(path, lam, mode, seed, atoms):
 
 # === the sampler's shortcuts against the calls they replace ===
 
-_DRAWS = ("uniform", "zero", "estimate", "curve", "below", "above")
-
-
-class _SkewedNumpy:
-    """numpy with an exp up to 4 ulps off libm's that overflows later than libm's.
-
-    The screened detection must stay exact on a platform whose exp is not
-    libm's: its estimate differs inside the confirm margin, and a zero
-    uniform meets an estimate above 0 where libm's curve is 0.
-    """
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def exp(x, out):
-        x = x.copy()  # the screen exponentiates in place
-        with np.errstate(over="ignore"):
-            skew = 1.0 + 4.0 * np.finfo(float).eps * np.cos(np.clip(x, -1e3, 1e3))
-            np.multiply(np.exp(x), skew, out=out)
-        out[np.isinf(out) & (x < 709.79)] = np.finfo(float).max
-        return out
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    threshold=st.floats(1.0, 500.0),
-    width=st.one_of(st.sampled_from([0.0, 1e-310, 1e-300, 1e-9]), st.floats(1e-6, 100.0)),
-    plateau=st.floats(1e-3, 1.0),
-    widths_off=st.lists(
-        st.one_of(st.floats(-800.0, 60.0), st.floats(-746.0, -700.0), st.floats(-709.79, -709.78)),
-        min_size=1,
-        max_size=30,
-    ),
-    spread=st.lists(st.floats(0.0, 4.0), max_size=10),
-    draws=st.lists(st.tuples(st.sampled_from(_DRAWS), st.integers(0, 2**53 - 1)), min_size=1),
-    skewed=st.booleans(),
-)
-def test_screened_detection_equals_the_curve_comparison(
-    threshold, width, plateau, widths_off, spread, draws, skewed
-):
-    """_detected(curve, p, d) == (d < curve(p)) elementwise.
-
-    Momenta sit some widths below or above the threshold, down to where expit
-    underflows (745 widths below) and across the point where exp overflows
-    (709.78), or anywhere up to 4 thresholds.  A uniform is what rng.random
-    returns (k * 2^-53, so 0 or >= 2^-53), or it is forced onto the screen's
-    own estimate, or onto or next to the curve's value where that is a
-    normal float.  Half the examples screen with a skewed exp.
-    """
-    curve = EfficiencyCurve(threshold, width, plateau)
-    p = np.array([threshold + z * width for z in widths_off] + [x * threshold for x in spread])
-    exact = curve(p)
-    with np.errstate(over="ignore"):
-        estimate = plateau / (1.0 + np.exp(-(p - threshold) / width)) if width else exact
-    d = np.empty(p.size)
-    for i in range(p.size):
-        kind, k = draws[i % len(draws)]
-        normal = exact[i] >= np.finfo(float).tiny
-        d[i] = {
-            "zero": 0.0,
-            "estimate": estimate[i],
-            "curve": exact[i] if normal else k * 2.0**-53,
-            "below": np.nextafter(exact[i], 0.0) if normal else k * 2.0**-53,
-            "above": np.nextafter(exact[i], 2.0) if normal else k * 2.0**-53,
-        }.get(kind, k * 2.0**-53)
-    with pytest.MonkeyPatch.context() as patch:
-        if skewed:
-            patch.setattr(calibration, "np", _SkewedNumpy())
-        hit = calibration._detected(curve, p, d, np.empty(p.size), np.empty(p.size))
-    np.testing.assert_array_equal(hit, d < exact)
-
 
 def _reference_sample_scores(paths, lams, mode, n, seed):
     """The sampler as first written: Generator.choice for the above-threshold
@@ -508,6 +473,20 @@ def test_sampler_matches_its_reference_atom_for_atom(specs, mode, n, seed):
         lams.append(10.0**log_at / threshold)
     sampled = sample_scores(paths, lams, mode, n, seed)
     assert _atoms(sampled) == _atoms(_reference_sample_scores(paths, lams, mode, n, seed))
+
+
+def test_a_12_path_summed_menu_matches_the_reference_atom_for_atom():
+    # 4095 subsets; path i lands above its threshold with chance 0.6 - 0.05 i
+    paths = [
+        _sigmoid_path(threshold=10.0 + 15.0 * i, width=0.0 if i % 4 == 0 else 1.0 + i)
+        for i in range(12)
+    ]
+    paths = [replace(path, object_name=f"p{i}") for i, path in enumerate(paths)]
+    lams = [-math.log(0.6 - 0.05 * i) / path.curve.threshold for i, path in enumerate(paths)]
+    sampled = sample_scores(paths, lams, "summed", 20_000, 314)
+    reference = _reference_sample_scores(paths, lams, "summed", 20_000, 314)
+    assert _atoms(sampled) == _atoms(reference)
+    assert len(sampled[1].values) >= 5
 
 
 def test_summed_menu_with_no_object_above_threshold_is_degenerate():

@@ -438,6 +438,8 @@ def test_validation_errors():
     )
     with pytest.raises(OperatingPointError, match="rejection fraction"):
         solve_threshold(model, _flow(1.0, 1.0), 0.0)
+    with pytest.raises(DegeneratePopulationError, match="empty flow"):
+        solve_threshold(model, _flow(0.0, 0.0), 0.5)
     with pytest.raises(OperatingPointError, match="reduction target"):
         solve_operating_point(model, _flow(1.0, 1.0), 1.0)
     with pytest.raises(DegeneratePopulationError):

@@ -171,6 +171,7 @@ def test_non_finite_inputs_are_located_errors(tmp_path, override, problem):
         ("conditions: {reference_pileup: 60}", "conditions: unknown field 'reference_pileup'"),
         ("sweep: {pileup: [60, lots]}", "sweep.pileup[1]: expected a number, got 'lots'"),
         ("sweep: {variants: [none, gpu_hlt+warp]}", "sweep.variants[1]: unknown variant 'warp'"),
+        ("sweep: {variants: [none, 3]}", "sweep.variants[1]: expected a variant name string, got 3"),
     ],
 )
 def test_unread_and_bad_keys_are_located_errors(tmp_path, override, problem):

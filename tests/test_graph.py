@@ -259,6 +259,11 @@ def test_validation_catalog():
 
     no_output = PipelineGraph(nodes=(sen, proc), links=(_link("a", "sen", "proc"),))
     assert any("exactly one output" in v for v in validate_graph(no_output).violations)
+    with pytest.raises(GraphValidationError, match="graph has 0 output nodes"):
+        no_output.output()
+    two_outputs = PipelineGraph(nodes=(sen, out, OutputNode(id="out2")), links=())
+    with pytest.raises(GraphValidationError, match="graph has 2 output nodes"):
+        two_outputs.output()
 
     dangling = PipelineGraph(nodes=(sen, out), links=(_link("a", "sen", "ghost"),))
     assert any("is not a node" in v for v in validate_graph(dangling).violations)
@@ -275,6 +280,8 @@ def test_validation_catalog():
         ),
     )
     assert any("cycle" in v for v in validate_graph(cycle).violations)
+    with pytest.raises(GraphValidationError, match="graph contains a cycle"):
+        cycle.topological_order()
 
     two_l1t = PipelineGraph(
         nodes=(sen, replace(proc, role="l1t"), replace(p2, role="l1t"), out),

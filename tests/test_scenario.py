@@ -9,7 +9,7 @@ import pytest
 from daqflow import scenario
 from daqflow.calibration import EfficiencyCurve, TriggerPath
 from daqflow.config import parse_config
-from daqflow.errors import ModelError, ModelWarning
+from daqflow.errors import ConfigError, ModelError, ModelWarning
 from daqflow.functions import ConstantFn, TableScaling
 from daqflow.graph import (
     CommLink,
@@ -126,6 +126,35 @@ def test_era_validation():
         TechnologyEra(year=2020, efficiency_factor=2.0)
     with pytest.raises(ValueError, match="baseline"):
         TechnologyEra(year=2024, efficiency_factor=2.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExperimentConditions(pileup=60.0, l1_reduction=1.0), "reduction targets must exceed 1"),
+        (lambda: ExperimentConditions(pileup=60.0, hlt_reduction=0.5), "reduction targets must exceed 1"),
+        (
+            lambda: ExperimentConditions(pileup=60.0, relevant_fraction=1.5),
+            r"relevant_fraction must lie in \[0, 1\]",
+        ),
+        (lambda: GpuHlt(throughput_gain=-1.0), "throughput_gain must exceed -1"),
+        (lambda: GpuHlt(unit_power_w=0.0), "unit_power_w must be positive"),
+        (lambda: SmartPixels(data_reduction=1.0), r"data_reduction must lie in \[0, 1\)"),
+        (lambda: SmartPixels(detector_power_w=-1.0), "detector_power_w must be >= 0"),
+    ],
+    ids=[
+        "l1_reduction_1", "hlt_reduction_below_1", "relevant_fraction_above_1",
+        "gpu_gain_-1", "gpu_zero_power", "smart_reduction_1", "smart_negative_power",
+    ],
+)
+def test_scenario_constructors_reject_out_of_range_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_with_enabled_rejects_unknown_variant_names():
+    with pytest.raises(ConfigError, match="unknown variant names: bogus"):
+        VariantConfig().with_enabled(("bogus",))
 
 
 def test_guards_reject_non_finite_values():
