@@ -9,8 +9,9 @@ path rate
     rate(lam) = input_rate * integral eff(p) * PDF(lam, p) dp
 
 matches the measured per-path rate; `trigger_rate` evaluates that integral
-in closed form.  Monte Carlo samples over the fitted spectra then produce
-empirical score distributions for the true and false event populations.
+in closed form and `fit_lambda` inverts it, both in plain `math`.
+Monte Carlo samples over the fitted spectra then produce empirical score
+distributions for the true and false event populations.
 
 A sampled object's per-path score is its detection outcome: a Bernoulli draw
 at probability eff(p).  Using the detection probability itself as the score
@@ -211,21 +212,17 @@ def fit_lambda(path: TriggerPath) -> float:
     """Invert the monotone lam -> rate map onto the measured path rate; lam in 1/GeV.
 
     The rate is strictly decreasing in lam, so once the target lies between
-    the rates at the ends of FIT_BRACKET, Brent's method (scipy brentq) finds
-    the unique root of log(rate / target) to 1e-10 relative in lam.  On the
-    log scale a sharp turn-on, rate ~ exp(-lam * threshold), is linear in
-    lam, so the interpolation steps land close from the first iteration.
+    the rates at the ends of FIT_BRACKET, regula falsi with the Illinois rule
+    (Dowell and Jarratt, BIT 11 (1971) 168-174) finds the unique root of
+    log(rate / target), near linear in lam for a sharp turn-on (rate ~
+    exp(-lam * threshold)).  It stops once the next secant step would move lam
+    by <= 1e-10 * lam, no float lies inside the bracket or a residual is 0, and
+    returns the evaluated lam of smallest residual; each lam is evaluated once.
     The fitted rate must then be within FIT_RATE_RTOL of the target.
     """
-    from scipy import optimize
-
-    # brentq re-evaluates the bracket ends and returns a point it evaluated,
-    # so each lam is evaluated once; trigger_rate stays a call-time global
-    rate_at = functools.cache(lambda lam: trigger_rate(path, lam))
     target = path.empirical_rate
     lo, hi = FIT_BRACKET
-    rate_lo = rate_at(lo)
-    rate_hi = rate_at(hi)
+    rate_lo, rate_hi = trigger_rate(path, lo), trigger_rate(path, hi)
     if not (rate_hi <= target <= rate_lo):
         raise FitInfeasibleError(
             f"path {path.object_name!r}: target rate {target:.6g} Hz outside the attainable "
@@ -233,19 +230,32 @@ def fit_lambda(path: TriggerPath) -> float:
         )
     log_target = math.log(target)
 
-    def residual(lam: float) -> float:
+    def residual(rate: float) -> float:
         # a rate that underflows to 0 (hard spectra far above a high
         # threshold) counts as the smallest positive float, not log(0)
-        return math.log(max(rate_at(lam), math.ulp(0.0))) - log_target
+        return math.log(max(rate, math.ulp(0.0))) - log_target
 
-    lam, result = optimize.brentq(
-        residual, lo, hi, xtol=1e-12, rtol=1e-10, full_output=True, disp=False
-    )
-    rate = rate_at(lam)
-    if not result.converged or abs(rate - target) > FIT_RATE_RTOL * target:
+    # fa >= 0 >= fb; b is the newest point, and trigger_rate stays a call-time global
+    a, fa = lo, residual(rate_lo)
+    b, fb = hi, residual(rate_hi)
+    best = min((abs(fa), lo, rate_lo), (abs(fb), hi, rate_hi))
+    while best[0] > 0.0:
+        lam = b - fb * (b - a) / (fb - fa)
+        if abs(lam - b) <= 1e-10 * b or not min(a, b) < lam < max(a, b):
+            break
+        rate = trigger_rate(path, lam)
+        f = residual(rate)
+        best = min(best, (abs(f), lam, rate))
+        if (f < 0.0) == (fb < 0.0):
+            fa /= 2.0  # Illinois: halve the residual of an end kept again
+        else:
+            a, fa = b, fb
+        b, fb = lam, f
+    _, lam, rate = best
+    if abs(rate - target) > FIT_RATE_RTOL * target:
         raise FitInfeasibleError(
-            f"path {path.object_name!r}: Brent's method stopped at lam={lam:.9g} "
-            f"({result.flag}; rate {rate:.6g} Hz vs target {target:.6g} Hz)"
+            f"path {path.object_name!r}: the fit stopped at lam={lam:.9g} "
+            f"(rate {rate:.6g} Hz vs target {target:.6g} Hz)"
         )
     return lam
 

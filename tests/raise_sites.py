@@ -8,7 +8,8 @@ checkout, with any extra pytest arguments after it,
 It runs the suite in process under `sys.settrace`, records each executed
 line of a `raise` statement in the package, and prints the unreached ones as
 file:line with the total count.  Lines run only in worker processes (sweeps
-with --jobs > 1) are not seen.  The exit code is pytest's when the suite
+with --jobs > 1) are not seen.  Pass --hypothesis-seed=0 for a verdict that
+does not depend on which inputs the property tests happen to draw.  The exit code is pytest's when the suite
 fails, and 1 when it passes but leaves a raise unreached.
 """
 

@@ -2,8 +2,9 @@
 
 Trigger rates are checked against mpmath's hypergeometric function at 50
 digits and against dense fixed-grid trapezoid sums, the fitter against a
-log-grid scan, and the samplers against conditional expectations from
-quadrature, so no check leans on the code under test for its reference value.
+log-grid scan and scipy's brentq, and the samplers against conditional
+expectations from quadrature, so no check leans on the code under test for
+its reference value.
 The sampler's exact output is pinned, and checked atom for atom against a
 straightforward reference sampler kept here; its screened detections are
 checked against the curve.
@@ -17,9 +18,9 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import expit
 
 import daqflow
@@ -106,7 +107,8 @@ def test_near_plateau_rate_and_fit_are_exact():
     path = _sigmoid_path(threshold=2.949, width=0.681, plateau=1.0, rate=1.0)
     miss, exact = _relative_miss(path, lam)
     assert miss <= 1e-12
-    assert fit_lambda(replace(path, empirical_rate=float(exact))) == pytest.approx(lam, rel=1e-9)
+    fitted = fit_lambda(replace(path, empirical_rate=float(exact)))
+    assert fitted == pytest.approx(lam, rel=1e-9, abs=0.0)
 
 
 def test_step_curve_rate_is_the_closed_form():
@@ -203,7 +205,22 @@ def test_fit_rejects_unreachable_targets():
         fit_lambda(path)
 
 
-@settings(max_examples=80, deadline=None)
+def _brentq_fit(path):
+    """lam from scipy's brentq on the same log residual, or None if no lam hits the target."""
+    lo, hi = FIT_BRACKET
+    log_target = math.log(path.empirical_rate)
+
+    def residual(lam):
+        return math.log(max(trigger_rate(path, lam), math.ulp(0.0))) - log_target
+
+    if residual(lo) < 0.0 or residual(hi) > 0.0:
+        return None
+    lam = optimize.brentq(residual, lo, hi, xtol=1e-300, rtol=4 * math.ulp(1.0), disp=False)
+    miss = abs(trigger_rate(path, lam) - path.empirical_rate)
+    return lam if miss <= FIT_RATE_RTOL * path.empirical_rate else None
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     threshold=st.floats(3.0, 250.0),
     width_frac=st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
@@ -217,19 +234,52 @@ def test_fit_either_hits_the_target_or_reports_infeasible(
     path = _sigmoid_path(
         threshold, threshold * width_frac, plateau, input_rate * 10.0**log10_frac, input_rate
     )
+    oracle = _brentq_fit(path)
     try:
         lam = fit_lambda(path)
     except FitInfeasibleError:
+        assert oracle is None
         return
     assert abs(trigger_rate(path, lam) / path.empirical_rate - 1.0) <= FIT_RATE_RTOL
+    assert oracle == pytest.approx(lam, rel=1e-8, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    threshold=st.floats(3.0, 250.0),
+    width_frac=st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
+    plateau=st.floats(0.05, 1.0),
+    log10_lam=st.floats(math.log10(FIT_BRACKET[0]), math.log10(FIT_BRACKET[1])),
+)
+# an absolute tolerance of 1e-12 in lam stops 2.4e-7 relative short here
+@example(threshold=214.2, width_frac=16.8 / 214.2, plateau=0.578, log10_lam=math.log10(1.026e-6))
+def test_fit_round_trips_the_rate_of_any_lam_in_the_bracket(
+    threshold, width_frac, plateau, log10_lam
+):
+    path = _sigmoid_path(threshold, threshold * width_frac, plateau, rate=1.0)
+    lam = 10.0**log10_lam
+    rate = trigger_rate(path, lam)
+    assume(rate >= 1e-12 * path.input_rate)
+    # a lam an ulp inside a bracket end can round to a rate just outside it
+    assume(trigger_rate(path, FIT_BRACKET[1]) <= rate <= trigger_rate(path, FIT_BRACKET[0]))
+    fitted = fit_lambda(replace(path, empirical_rate=rate))
+    assert fitted == pytest.approx(lam, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("end", FIT_BRACKET)
+def test_a_target_at_a_bracket_end_fits_that_end_exactly(end):
+    base = _sigmoid_path(threshold=3.0, width=0.5)
+    path = replace(base, empirical_rate=trigger_rate(base, end))
+    assert path.empirical_rate > 0.0
+    assert fit_lambda(path) == end
 
 
 def test_fit_reports_a_root_whose_rate_underflows_to_zero():
     # the rate at the top of the bracket underflows to 0 Hz, below the
-    # 1e-320 Hz target, so the bracket holds it; the rate at the root
-    # Brent's method returns underflows as well, 0 Hz against 1e-320 Hz
+    # 1e-320 Hz target, so the bracket holds it; the rate at the lam where
+    # the fit stops underflows as well, 0 Hz against 1e-320 Hz
     path = TriggerPath("x", EfficiencyCurve(80.0, 0.0, 0.95), 1e-320, 40e6)
-    with pytest.raises(FitInfeasibleError, match=r"Brent's method stopped at lam=9\.31.*rate 0 Hz"):
+    with pytest.raises(FitInfeasibleError, match=r"the fit stopped at lam=9\.31.*rate 0 Hz"):
         fit_lambda(path)
 
 
@@ -287,7 +337,7 @@ def test_fit_evaluates_each_lam_once(monkeypatch):
     for path in paths:
         seen.clear()
         fit_lambda(path)
-        # the bracket ends and the root are among the points brentq evaluated
+        # the bracket ends are evaluated, and no lam twice
         assert set(calibration.FIT_BRACKET) <= set(seen)
         assert len(seen) == len(set(seen)), (path.object_name, seen)
 

@@ -227,14 +227,26 @@ def test_a_config_of_the_wrong_shape_exits_2(tmp_path, capsys, text, message):
             "sweep: {variants: [5]}\n",
             "case.cfg:2: sweep.variants[0]: expected a variant name string, got 5",
         ),
+        (
+            "calibration: {menus: {l1_menu: {mode: 5}}}\n",
+            "case.cfg:2: calibration.menus.l1_menu.mode: expected a non-empty string, got 5",
+        ),
     ],
-    ids=["description_number", "sweep_variant_number"],
+    ids=["description_number", "sweep_variant_number", "menu_mode_number"],
 )
 def test_a_non_string_in_a_text_field_is_a_located_error(tmp_path, capsys, override, problem):
     assert main(["validate", str(_extending_base(tmp_path, override))]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "config error: invalid configuration (1 problem)",
         f"  at {problem}",
+    ]
+
+
+def test_a_fraction_in_an_integer_field_is_a_located_error(tmp_path, capsys):
+    assert main(["validate", str(_extending_base(tmp_path, "seeds: {calibration: 1.5}\n"))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: invalid configuration (1 problem)",
+        "  at case.cfg:2: seeds.calibration: expected an integer, got 1.5",
     ]
 
 
@@ -409,19 +421,38 @@ def test_exponent_numbers_read_as_text_are_located_errors_with_advice(
     assert yaml.safe_load(f"x: {advised}") == {"x": float(written)}
 
 
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this checkout's daqflow."""
+    src = str(Path(daqflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
 def test_cli_import_does_not_load_scipy_stats():
     # score families are closed forms over scipy.special; importing
     # scipy.stats would add about half a second to every command's start-up.
-    # Calibration imports root finding only when it fits, and nothing
-    # imports quadrature, so `validate` and graph-only work never pay for them.
+    # Trigger rates and their fits are plain math, and nothing imports
+    # quadrature, so `validate` and graph-only work never pay for them.
     heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special")
-    src = str(Path(daqflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = f"import sys, daqflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert _fresh_python(probe) == "[]"
+
+
+@pytest.mark.parametrize("command, cfg", [("run", "cms_run3.cfg"), ("report", "cms_tables.cfg")])
+def test_bundled_runs_and_reports_load_no_scipy(command, cfg):
+    # every bundled config calibrates empirical scores: the rate, its fit and
+    # the sampler are math and numpy, and scipy loads only for a parametric score
+    probe = (
+        "import contextlib, io, sys\n"
+        "from daqflow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main([{command!r}, {str(CONFIG_DIR / cfg)!r}])\n"
+        "print(code, [m for m in sys.modules if m.startswith('scipy')])"
     )
-    assert result.stdout.strip() == "[]"
+    assert _fresh_python(probe) == "0 []"
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
