@@ -70,6 +70,11 @@ __all__ = [
 # lam search bracket for the rate fit, in 1/GeV
 FIT_BRACKET = (1e-6, 10.0)
 FIT_RATE_RTOL = 1e-4
+# trigger_rate rounds to a few ulps, so it is monotone in lam only to that
+# much: the last floats inside a bracket end can give a rate up to ~5 ulps
+# past the end's own rate (sampled paths whose rate there is at least 1e-12
+# of the input rate).  A target this many ulps past an end's rate fits that end.
+FIT_END_ULPS = 16
 DEFAULT_SAMPLE_COUNT = 50_000
 
 # Memo bounds: a stream of never-repeating menus (a generated-menu study)
@@ -218,16 +223,23 @@ def fit_lambda(path: TriggerPath) -> float:
     exp(-lam * threshold)).  It stops once the next secant step would move lam
     by <= 1e-10 * lam, no float lies inside the bracket or a residual is 0, and
     returns the evaluated lam of smallest residual; each lam is evaluated once.
-    The fitted rate must then be within FIT_RATE_RTOL of the target.
+    The fitted rate must then be within FIT_RATE_RTOL of the target.  A
+    target past an end's rate by at most FIT_END_ULPS ulps of that rate fits
+    that end.
     """
     target = path.empirical_rate
     lo, hi = FIT_BRACKET
     rate_lo, rate_hi = trigger_rate(path, lo), trigger_rate(path, hi)
-    if not (rate_hi <= target <= rate_lo):
+    slack_lo, slack_hi = (FIT_END_ULPS * math.ulp(rate) for rate in (rate_lo, rate_hi))
+    if not (rate_hi - slack_hi <= target <= rate_lo + slack_lo):
         raise FitInfeasibleError(
             f"path {path.object_name!r}: target rate {target:.6g} Hz outside the attainable "
             f"range [{rate_hi:.6g}, {rate_lo:.6g}] Hz for lam in {FIT_BRACKET} 1/GeV"
         )
+    if target >= rate_lo:
+        return lo
+    if target <= rate_hi:
+        return hi
     log_target = math.log(target)
 
     def residual(rate: float) -> float:

@@ -25,7 +25,14 @@ function, so an edited parent is never served stale and nothing needs
 clearing; the parent file is still read on every load.  Children share the
 cached dict uncopied: _merge builds new dicts and only shares the parent's
 sub-objects, the table reader only reads, and `extends` is popped from the
-child's own dict.  The named file and each report row are parsed every time.
+child's own dict.
+
+Build once: the same memo entry keeps the objects built from the parent's
+top-level sections.  A section a child inherits unchanged (its merged value
+*is* the parent's object) is built by the first child that reads it without
+a problem and shared, never mutated, by the rest; a broken one is read
+again, so it reports the same located errors on every load.  `report` is
+always read: its rows resolve against the child's directory and must exist.
 """
 
 from __future__ import annotations
@@ -116,9 +123,12 @@ def _load_yaml(text: str, filename: str) -> dict:
 
 
 @functools.lru_cache(maxsize=16)
-def _parsed_parent(text: str, name: str) -> dict:
-    """An extends parent's data, shared by every child: read it, never mutate it."""
-    return _load_yaml(text, name)
+def _parsed_parent(text: str, name: str) -> tuple[dict, dict]:
+    """An extends parent's data and its built sections, shared by every child.
+
+    Read the data, never mutate it; _read_fields fills the sections.
+    """
+    return _load_yaml(text, name), {}
 
 
 def _merge(parent: dict, child: dict) -> dict:
@@ -551,25 +561,40 @@ def _item_name(where: str, i: int, raw) -> str:
     return f"{where}[{i}] ({item_id})" if isinstance(item_id, str) else f"{where}[{i}]"
 
 
-def _read_fields(ctx: _Ctx, table: _Table, mapping: dict, where: str, tag=None):
+def _read_fields(ctx: _Ctx, table: _Table, mapping: dict, where: str, tag=None, parent=None):
     """(constructor keywords, whether every field read) for a mapping.
 
     Reports unknown and missing keys and one problem per bad field, which is
     left out of the keywords.  An empty `where` reads the file itself.
+    parent is an extends parent's _parsed_parent entry when mapping is
+    merged over it: a field whose value is the parent's own object is built
+    from there once (see the module notes).
     """
     loc = _loc(mapping)
     allowed = table.keys if tag is None else table.keys | {tag}
     ok = _check_fields(ctx, mapping, where or "config", allowed, table.required)
     prefix = f"{where}." if where else ""
+    inherited, built = parent if parent is not None else ({}, None)
     kwargs = {}
     for f in table.fields:
-        if f.key not in mapping:
+        shared = (
+            built is not None
+            and f.kind is not _REPORT
+            and f.key in mapping
+            and mapping[f.key] is inherited.get(f.key, _BAD)
+        )
+        if shared and f.key in built:
+            value = built[f.key]
+        elif f.key not in mapping:
             value = f.default
         else:
+            problems = len(ctx.errors)
             value = _read_value(ctx, f.kind, mapping[f.key], loc, prefix + f.key)
             if value is not _BAD and f.minimum is not None and value < f.minimum:
                 ctx.error(loc, f"{prefix}{f.key}: must be >= {f.minimum}, got {value!r}")
                 value = _BAD
+            if shared and len(ctx.errors) == problems:
+                built[f.key] = value
         if value is _BAD:
             ok = False
         elif f.arg is not None:
@@ -672,9 +697,11 @@ _CONFIG = _Table(ModelConfig, (
 ))
 
 
-def _build_config(data: dict, base_dir: Path | None, source: str | None) -> ModelConfig:
+def _build_config(
+    data: dict, base_dir: Path | None, source: str | None, parent: tuple | None
+) -> ModelConfig:
     ctx = _Ctx(base_dir)
-    kwargs, _ = _read_fields(ctx, _CONFIG, data, "")
+    kwargs, _ = _read_fields(ctx, _CONFIG, data, "", parent=parent)
     version = data.get("schema_version")
     if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
         ctx.error(_loc(data), f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
@@ -683,10 +710,11 @@ def _build_config(data: dict, base_dir: Path | None, source: str | None) -> Mode
     return _CONFIG.build(**kwargs, classifier_refs=dict(refs), source_path=source)
 
 
-def _resolve_extends(data: dict, base_dir: Path | None, filename: str) -> dict:
+def _resolve_extends(data: dict, base_dir: Path | None, filename: str):
+    """(the merged data, the parent's _parsed_parent entry or None)."""
     ref = data.pop("extends", None)
     if ref is None:
-        return data
+        return data, None
     if not isinstance(ref, str):
         raise ConfigError(f"{filename}: extends must be a path string, got {ref!r}")
     if base_dir is None:
@@ -695,12 +723,12 @@ def _resolve_extends(data: dict, base_dir: Path | None, filename: str) -> dict:
     if not parent_path.is_file():
         raise ConfigError(f"{filename}: extended config not found: {ref}")
     parent = _parsed_parent(parent_path.read_text(), parent_path.name)
-    if "extends" in parent:
+    if "extends" in parent[0]:
         raise ConfigError(
             f"{filename}: extends chains are limited to one level, "
             f"but {parent_path.name} itself extends another config"
         )
-    return _merge(parent, data)
+    return _merge(parent[0], data), parent
 
 
 def load_config(path) -> ModelConfig:
@@ -708,15 +736,13 @@ def load_config(path) -> ModelConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    data = _load_yaml(p.read_text(), p.name)
-    data = _resolve_extends(data, p.parent, p.name)
-    return _build_config(data, base_dir=p.parent, source=str(p))
+    data, parent = _resolve_extends(_load_yaml(p.read_text(), p.name), p.parent, p.name)
+    return _build_config(data, base_dir=p.parent, source=str(p), parent=parent)
 
 
 def parse_config(text: str, *, base_dir=None, filename: str = "<config>") -> ModelConfig:
     """Parse config text directly; extends resolves against base_dir if given."""
-    data = _load_yaml(text, filename)
     base = Path(base_dir) if base_dir is not None else None
-    data = _resolve_extends(data, base, filename)
-    return _build_config(data, base_dir=base, source=None)
+    data, parent = _resolve_extends(_load_yaml(text, filename), base, filename)
+    return _build_config(data, base_dir=base, source=None, parent=parent)
 

@@ -27,6 +27,7 @@ import daqflow
 from daqflow import calibration
 from daqflow.calibration import (
     FIT_BRACKET,
+    FIT_END_ULPS,
     FIT_RATE_RTOL,
     EfficiencyCurve,
     MenuSpec,
@@ -253,6 +254,8 @@ def test_fit_either_hits_the_target_or_reports_infeasible(
 )
 # an absolute tolerance of 1e-12 in lam stops 2.4e-7 relative short here
 @example(threshold=214.2, width_frac=16.8 / 214.2, plateau=0.578, log10_lam=math.log10(1.026e-6))
+# the lam an ulp below the bracket top has a rate an ulp below the top's rate
+@example(threshold=3.0, width_frac=0.14684, plateau=1.0, log10_lam=math.log10(9.999999999999998))
 def test_fit_round_trips_the_rate_of_any_lam_in_the_bracket(
     threshold, width_frac, plateau, log10_lam
 ):
@@ -260,10 +263,19 @@ def test_fit_round_trips_the_rate_of_any_lam_in_the_bracket(
     lam = 10.0**log10_lam
     rate = trigger_rate(path, lam)
     assume(rate >= 1e-12 * path.input_rate)
-    # a lam an ulp inside a bracket end can round to a rate just outside it
-    assume(trigger_rate(path, FIT_BRACKET[1]) <= rate <= trigger_rate(path, FIT_BRACKET[0]))
     fitted = fit_lambda(replace(path, empirical_rate=rate))
     assert fitted == pytest.approx(lam, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("end, away", [(FIT_BRACKET[0], math.inf), (FIT_BRACKET[1], 0.0)])
+def test_a_target_a_few_ulps_past_a_bracket_end_fits_that_end(end, away):
+    base = _sigmoid_path(threshold=3.0, width=0.5)
+    target = trigger_rate(base, end)
+    for _ in range(FIT_END_ULPS):
+        target = math.nextafter(target, away)
+    assert fit_lambda(replace(base, empirical_rate=target)) == end
+    with pytest.raises(FitInfeasibleError, match="attainable"):
+        fit_lambda(replace(base, empirical_rate=math.nextafter(target, away)))
 
 
 @pytest.mark.parametrize("end", FIT_BRACKET)

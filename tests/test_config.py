@@ -38,6 +38,8 @@ from daqflow.scenario import (
     SmartPixels,
     TechnologyEra,
     VariantConfig,
+    evaluate,
+    sweep,
 )
 
 CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
@@ -324,6 +326,9 @@ def test_an_edited_parent_is_read_afresh(tmp_path):
     # same name and size, rewritten at once: a (mtime, size) key could serve the old data
     parent.write_text(MINIMAL.replace("{pileup: 1}", "{pileup: 2}"))
     assert load_config(tmp_path / "child.cfg").conditions.pileup == 2.0
+    # and the first text again gets the sections built from that text
+    parent.write_text(MINIMAL)
+    assert load_config(tmp_path / "child.cfg").conditions.pileup == 1.0
 
 
 def _nested_overrides() -> list[str]:
@@ -354,11 +359,80 @@ def test_children_leave_the_shared_parent_data_unchanged(tmp_path):
     with pytest.raises(ConfigError):
         load_config(child)
     assert config._parsed_parent(text, "cms_base.cfg") is shared
-    assert shared == config._load_yaml(text, "cms_base.cfg")
+    assert shared[0] == config._load_yaml(text, "cms_base.cfg")
 
 
 def test_the_parent_memo_is_bounded():
     assert config._parsed_parent.cache_info().maxsize is not None
+
+
+BUNDLED = sorted(p.name for p in CONFIG_DIR.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_config_built_from_shared_sections_equals_an_uncached_one(name):
+    config._parsed_parent.cache_clear()
+    for other in BUNDLED:
+        if other != name:
+            load_config(CONFIG_DIR / other)
+    served = load_config(CONFIG_DIR / name)  # inherited sections built by another child
+    config._parsed_parent.cache_clear()
+    fresh = load_config(CONFIG_DIR / name)
+    assert served == fresh
+    assert evaluate(served).row == evaluate(fresh).row
+
+
+def test_report_rows_share_the_sections_they_inherit():
+    tables = load_config(CONFIG_DIR / "cms_tables.cfg").report.tables
+    first, second = (load_config(row.config_path) for row in tables[0].rows[:2])
+    assert first.conditions != second.conditions
+    assert first.nodes is second.nodes
+    assert first.links is second.links
+    assert first.menus is second.menus
+
+
+def test_a_broken_inherited_section_reports_the_same_errors_on_every_load(tmp_path):
+    bad_node = MINIMAL.replace('sample_rate: "1 kHz"', 'sample_rate: "1 kb"')
+    (tmp_path / "parent.cfg").write_text(bad_node)
+    (tmp_path / "child.cfg").write_text("extends: parent.cfg\nconditions: {pileup: 2}\n")
+    reports = []
+    for _ in range(2):
+        with pytest.raises(ConfigError) as info:
+            load_config(tmp_path / "child.cfg")
+        reports.append(info.value.locations)
+    assert reports[0] == reports[1]
+    assert [loc for loc, _ in reports[0]] == ["parent.cfg:4"]
+    assert "nodes[0] (s).sample_rate" in reports[0][0][1]
+
+
+def test_each_child_resolves_an_inherited_report_against_its_own_directory(tmp_path):
+    report = "report:\n  tables:\n    - title: T\n      rows:\n        - {label: L, config: row.cfg}\n"
+    (tmp_path / "parent.cfg").write_text(MINIMAL + report)
+    with_row, without_row = tmp_path / "a", tmp_path / "b"
+    for child_dir in (with_row, without_row):
+        child_dir.mkdir()
+        (child_dir / "child.cfg").write_text("extends: ../parent.cfg\n")
+    (with_row / "row.cfg").write_text(MINIMAL)
+    rows = load_config(with_row / "child.cfg").report.tables[0].rows
+    assert rows[0].config_path == str(with_row / "row.cfg")
+    with pytest.raises(ConfigError, match="referenced config not found: row.cfg"):
+        load_config(without_row / "child.cfg")
+    # whether a row file exists is read on every load, never remembered
+    (with_row / "row.cfg").unlink()
+    with pytest.raises(ConfigError, match="referenced config not found: row.cfg"):
+        load_config(with_row / "child.cfg")
+
+
+def test_evaluating_and_sweeping_leave_the_shared_menus_unchanged():
+    row = load_config(CONFIG_DIR / "cms_run3.cfg")
+    menus = dict(row.menus)
+    evaluate(row, seed=11)
+    cfg = load_config(CONFIG_DIR / "cms_sweep.cfg")
+    assert cfg.menus is row.menus
+    sweep(cfg, seed=12)
+    assert row.menus == menus
+    assert all(row.menus[name] is menu for name, menu in menus.items())
+    assert load_config(CONFIG_DIR / "cms_run5_smart.cfg").menus is row.menus
 
 
 def test_missing_config_file():
