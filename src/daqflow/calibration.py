@@ -71,9 +71,10 @@ __all__ = [
 FIT_BRACKET = (1e-6, 10.0)
 FIT_RATE_RTOL = 1e-4
 # trigger_rate rounds to a few ulps, so it is monotone in lam only to that
-# much: the last floats inside a bracket end can give a rate up to ~5 ulps
-# past the end's own rate (sampled paths whose rate there is at least 1e-12
-# of the input rate).  A target this many ulps past an end's rate fits that end.
+# much: the last floats inside a bracket end can give a rate ~5 ulps past
+# the end's own rate, and ~0.29 * lam * threshold ulps once exp(-lam *
+# threshold) inherits the rounding of a large argument.  A target within
+# FIT_END_ULPS + lam * threshold ulps past an end's rate fits that end.
 FIT_END_ULPS = 16
 DEFAULT_SAMPLE_COUNT = 50_000
 
@@ -224,13 +225,16 @@ def fit_lambda(path: TriggerPath) -> float:
     by <= 1e-10 * lam, no float lies inside the bracket or a residual is 0, and
     returns the evaluated lam of smallest residual; each lam is evaluated once.
     The fitted rate must then be within FIT_RATE_RTOL of the target.  A
-    target past an end's rate by at most FIT_END_ULPS ulps of that rate fits
-    that end.
+    target past an end's rate by at most FIT_END_ULPS + lam * threshold ulps
+    of that rate fits that end.
     """
     target = path.empirical_rate
     lo, hi = FIT_BRACKET
     rate_lo, rate_hi = trigger_rate(path, lo), trigger_rate(path, hi)
-    slack_lo, slack_hi = (FIT_END_ULPS * math.ulp(rate) for rate in (rate_lo, rate_hi))
+    slack_lo, slack_hi = (
+        (FIT_END_ULPS + lam * path.curve.threshold) * math.ulp(rate)
+        for lam, rate in ((lo, rate_lo), (hi, rate_hi))
+    )
     if not (rate_hi - slack_hi <= target <= rate_lo + slack_lo):
         raise FitInfeasibleError(
             f"path {path.object_name!r}: target rate {target:.6g} Hz outside the attainable "
@@ -309,10 +313,10 @@ def sample_scores(
     work = np.empty((2, n))
     if mode == "summed":
         events = _above_subsets(fitted, n, seed)
-        above = np.empty_like(events)
-        for i, (path, lam) in enumerate(fitted):
-            np.right_shift(events, i, out=above)
-            above &= 1
+        above = np.empty(n, dtype=np.int8)
+        for path, lam in fitted:
+            np.bitwise_and(events, 1, out=above, casting="unsafe")
+            events >>= 1  # the next path's bit comes down to bit 0
             _add_detections(path, lam, seed, above, scores, work)
     elif mode == "one-at-a-time":
         # n split over the k paths, the first n % k one larger; positives all above threshold
@@ -365,32 +369,46 @@ def _add_detections(
     """Add one path's detection outcomes to scores[0] (negative) and scores[1] (positive).
 
     Negative momenta lie below the threshold; positive ones lie above it
-    where `above` (1, or an int array of 0/1 per sample) is 1 and below it
+    where `above` (1, or an int8 row of 0/1 per sample) is 1 and below it
     elsewhere.  The draw order is fixed: negative-block momenta, their
     detection uniforms, then the positive blocks in the same order.  work
-    holds two rows of at least len(scores[0]) floats, overwritten.
+    holds two rows of at least len(scores[0]) floats, overwritten; the
+    uniforms row is scratch for the momenta until its draw.
     """
     rng, n = _substream(seed, path.object_name), scores.shape[1]
     momenta, uniforms = work[:, :n]
     for side, score in zip((0, above), scores):
-        _momenta(rng.random(out=momenta), lam, path.curve.threshold, side)
+        _momenta(rng.random(out=momenta), lam, path.curve.threshold, side, uniforms)
         score += rng.random(out=uniforms) < _turn_on(path.curve, momenta)
 
 
-def _momenta(u: np.ndarray, lam: float, threshold: float, above) -> np.ndarray:
+def _momenta(
+    u: np.ndarray, lam: float, threshold: float, above, scratch: np.ndarray
+) -> np.ndarray:
     """Inverse-CDF momenta from the uniforms u, in place.
 
     Below the threshold, the exponential truncated to (0, threshold]:
     -log1p(-u * (1 - exp(-lam * threshold))) / lam.  Above it, the
     memoryless tail threshold - log1p(-u) / lam.  One log1p serves both:
-    its argument is u times -1.0 or -(1 - exp(-lam * threshold)), then the
-    quotient by -lam gains an offset of threshold or 0.0.  Each step is
-    exact, so both forms come out bit for bit.
+    its argument is u times -1.0 above or s = -(1 - exp(-lam * threshold))
+    below, then the quotient by -lam gains the offset threshold above.
+    `above` is 0, 1 or an int8 row of 0/1; a row's scale and offset go
+    through scratch as above * (-1 - s) + s and above * threshold, where the
+    sum rounds away the <= 2**-54 error of -1 - s.  Each step is exact, so
+    both forms come out bit for bit.
     """
-    u *= np.array([-(1.0 - math.exp(-lam * threshold)), -1.0]).take(above)
+    below_scale = -(1.0 - math.exp(-lam * threshold))
+    if isinstance(above, np.ndarray):
+        np.multiply(above, -1.0 - below_scale, out=scratch)
+        u *= np.add(scratch, below_scale, out=scratch)
+    else:
+        u *= -1.0 if above else below_scale
     np.log1p(u, out=u)
     u /= -lam
-    u += np.array([0.0, threshold]).take(above)
+    if isinstance(above, np.ndarray):
+        u += np.multiply(above, threshold, out=scratch)
+    elif above:
+        u += threshold
     return u
 
 

@@ -271,11 +271,35 @@ def test_fit_round_trips_the_rate_of_any_lam_in_the_bracket(
 def test_a_target_a_few_ulps_past_a_bracket_end_fits_that_end(end, away):
     base = _sigmoid_path(threshold=3.0, width=0.5)
     target = trigger_rate(base, end)
-    for _ in range(FIT_END_ULPS):
+    for _ in range(FIT_END_ULPS + math.floor(end * base.curve.threshold)):
         target = math.nextafter(target, away)
     assert fit_lambda(replace(base, empirical_rate=target)) == end
     with pytest.raises(FitInfeasibleError, match="attainable"):
         fit_lambda(replace(base, empirical_rate=math.nextafter(target, away)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    threshold=st.floats(30.0, 60.0),
+    width=st.floats(0.03, 0.6),
+    plateau=st.floats(0.05, 1.0),
+    input_rate=st.floats(1e3, 40e6),
+)
+# the rate at the last float below the bracket top is 113 ulps below the
+# top's own: exp(-lam * threshold) rounds like its argument, lam * threshold ~ 394
+@example(
+    threshold=39.35660750736197,
+    width=0.0995376285991442,
+    plateau=0.9331362778003371,
+    input_rate=140365.48111803457,
+)
+def test_the_rate_of_the_last_lam_inside_the_bracket_fits(threshold, width, plateau, input_rate):
+    path = _sigmoid_path(threshold, width, plateau, 1.0, input_rate)
+    for end, inward in ((FIT_BRACKET[0], math.inf), (FIT_BRACKET[1], 0.0)):
+        lam = math.nextafter(end, inward)
+        rate = trigger_rate(path, lam)
+        assume(rate > 0.0)
+        assert fit_lambda(replace(path, empirical_rate=rate)) == pytest.approx(lam, rel=1e-9)
 
 
 @pytest.mark.parametrize("end", FIT_BRACKET)

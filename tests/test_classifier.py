@@ -9,11 +9,12 @@ import dataclasses
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from daqflow import classifier
 from daqflow.calibration import fit_lambda, sample_scores
@@ -388,7 +389,7 @@ def test_empirical_atoms_match_the_sorted_sample_array(case, shift, qs):
     assert dist.mean() == pytest.approx(float(ref.mean()), rel=1e-12, abs=1e-12)
 
 
-_SCIPY = {"normal": stats.norm, "logistic": stats.logistic, "uniform": stats.uniform}
+_SCIPY = {"logistic": stats.logistic, "uniform": stats.uniform}
 
 
 def _bits(x) -> str:
@@ -403,14 +404,77 @@ def test_parametric_closed_forms_equal_scipy_stats_bitwise(family):
         scale = float(rng.uniform(0.05, 5.0))
         ours = ParametricScores(family, loc=loc, scale=scale)
         ref = _SCIPY[family](loc=loc, scale=scale)
-        zs = [loc, loc + scale, -math.inf, math.inf, math.nan]
-        zs += rng.normal(loc, 3 * scale, 8).tolist()
+        # 800 scales out, exp(-x) overflows in the logistic CDF
+        zs = [loc, loc + scale, loc - 800 * scale, loc + 800 * scale, -math.inf, math.inf]
+        zs += [math.nan] + rng.normal(loc, 3 * scale, 8).tolist()
         for z in zs:
             assert _bits(ours.cdf(z)) == _bits(ref.cdf(z)), (z, loc, scale)
         qs = [0.0, 1.0, -0.1, 1.1, 1e-300, 1.0 - 1e-16] + rng.uniform(0.0, 1.0, 8).tolist()
         for q in qs:
             assert _bits(ours.quantile(q)) == _bits(ref.ppf(q)), (q, loc, scale)
         assert _bits(ours.mean()) == _bits(ref.mean())
+
+
+# The normal forms are not scipy's bit for bit (erfc is libm's, not cephes'),
+# so they are held to ulp bounds against 50-digit values, and scipy.special
+# must meet the same bounds on the same points.
+def _normal_cdf_ulp_bound(x: float) -> float:
+    # erfc amplifies the rounding of its argument x / sqrt(2) ~x**2-fold
+    return 8.0 + 2.0 * x * x
+
+
+NORMAL_QUANTILE_ULPS = 6.0
+
+
+def _ulps(value: float, exact) -> float:
+    return float(abs(mpmath.mpf(value) - exact) / math.ulp(float(exact)))
+
+
+def _normal_root(q: float):
+    """The x with ncdf(x) = q at 50 digits, by Newton's method on mpmath's ncdf.
+
+    erfinv(2q - 1) would lose q below ~1e-50 to the subtraction.
+    """
+    target = mpmath.mpf(q)
+    x = mpmath.mpf(float(stats.norm.ppf(q)))
+    for _ in range(50):
+        step = (mpmath.ncdf(x) - target) / mpmath.npdf(x)
+        x -= step
+        if abs(step) <= abs(x) * mpmath.mpf(10) ** -45:
+            return x
+    raise AssertionError(f"Newton did not settle at q={q}")
+
+
+def test_normal_closed_forms_are_within_stated_ulps_of_mpmath():
+    rng = np.random.default_rng(20241017)
+    standard = ParametricScores("normal", loc=0.0, scale=1.0)
+
+    def check_cdf(x):
+        exact, bound = mpmath.ncdf(mpmath.mpf(x)), _normal_cdf_ulp_bound(x)
+        assert _ulps(standard.cdf(x), exact) <= bound, x
+        assert _ulps(float(special.ndtr(x)), exact) <= bound, x
+
+    with mpmath.workdps(50):
+        for _ in range(200):
+            loc = float(rng.normal(0.0, 3.0))
+            scale = float(rng.uniform(0.05, 5.0))
+            ours = ParametricScores("normal", loc=loc, scale=scale)
+            for z in [loc, loc + scale] + rng.normal(loc, 3 * scale, 8).tolist():
+                x = (z - loc) / scale
+                assert ours.cdf(z) == standard.cdf(x)
+                check_cdf(x)
+            for q in [1e-300, 1.0 - 1e-16] + rng.uniform(0.0, 1.0, 8).tolist():
+                assert ours.quantile(q) == standard.quantile(q) * scale + loc
+                exact = _normal_root(q)
+                assert _ulps(standard.quantile(q), exact) <= NORMAL_QUANTILE_ULPS, q
+                assert _ulps(float(special.ndtri(q)), exact) <= NORMAL_QUANTILE_ULPS, q
+        for x in (-37.0, -30.0, -20.0, 8.2):  # the deep tails
+            check_cdf(x)
+    for z in (-math.inf, math.inf, math.nan):
+        assert _bits(standard.cdf(z)) == _bits(special.ndtr(z))
+    for q, expected in ((0.0, -math.inf), (1.0, math.inf), (-0.1, math.nan), (1.1, math.nan)):
+        assert _bits(standard.quantile(q)) == _bits(expected)
+    assert standard.mean() == 0.0
 
 
 def test_validation_errors():

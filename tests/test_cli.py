@@ -432,10 +432,10 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # score families are closed forms over scipy.special; importing
-    # scipy.stats would add about half a second to every command's start-up.
-    # Trigger rates and their fits are plain math, and nothing imports
-    # quadrature, so `validate` and graph-only work never pay for them.
+    # score families are closed forms in `math`, trigger rates and their fits
+    # too, and nothing imports quadrature: scipy is a test-only dependency,
+    # and importing scipy.stats would add about half a second to every
+    # command's start-up.
     heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special")
     probe = f"import sys, daqflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
     assert _fresh_python(probe) == "[]"
@@ -443,8 +443,8 @@ def test_cli_import_does_not_load_scipy_stats():
 
 @pytest.mark.parametrize("command, cfg", [("run", "cms_run3.cfg"), ("report", "cms_tables.cfg")])
 def test_bundled_runs_and_reports_load_no_scipy(command, cfg):
-    # every bundled config calibrates empirical scores: the rate, its fit and
-    # the sampler are math and numpy, and scipy loads only for a parametric score
+    # every bundled config calibrates empirical scores with math and numpy;
+    # test_the_runtime_needs_no_scipy below also blocks scipy outright
     probe = (
         "import contextlib, io, sys\n"
         "from daqflow import cli\n"
@@ -453,6 +453,64 @@ def test_bundled_runs_and_reports_load_no_scipy(command, cfg):
         "print(code, [m for m in sys.modules if m.startswith('scipy')])"
     )
     assert _fresh_python(probe) == "0 []"
+
+
+# Runs with every scipy import failing: the package imports, builds a
+# fan-in graph shaped like perfbench's fanin_scale with parametric
+# classifiers of each family, propagates and prices it, and runs every
+# bundled config, the bundled report, sweep and costs.
+_NO_SCIPY_PROBE = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # `import scipy` and its submodules now raise
+from daqflow import cli, energy, functions, graph, metrics
+from daqflow.classifier import ClassifierModel, ParametricScores
+
+def model(family, separation):
+    return ClassifierModel(
+        positive=ParametricScores(family, separation, 1.0),
+        negative=ParametricScores(family, 0.0, 1.0),
+    )
+
+linear = functions.LinearFn(1.0)
+for family in ("normal", "logistic", "uniform"):
+    sensors = [
+        graph.SensorNode(f"s{i}", sample_size=1e4, sample_rate=40e6, relevant_fraction=1e-4)
+        for i in range(64)
+    ]
+    stages = [
+        graph.ProcessNode("readout", complexity=functions.ConstantFn(0.0), energy_per_op=0.0,
+                          output_size=linear, role="readout"),
+        graph.ProcessNode("l1t", complexity=functions.LinearFn(25.0), energy_per_op=7.5e-12,
+                          output_size=linear, role="l1t", classifier=model(family, 2.5),
+                          reduction_target=400.0),
+        graph.ProcessNode("hlt", complexity=functions.LinearFn(1e3), energy_per_op=20e-12,
+                          output_size=linear, role="hlt", classifier=model(family, 2.0),
+                          reduction_target=100.0),
+    ]
+    chain = ["readout", "l1t", "hlt", "storage"]
+    links = [graph.CommLink(f"{s.id}_readout", s.id, "readout", 22e-12, 10.24e9) for s in sensors]
+    links += [graph.CommLink(f"{a}_{b}", a, b, 25e-12, 100e9) for a, b in zip(chain, chain[1:])]
+    g = graph.PipelineGraph(nodes=(*sensors, *stages, graph.OutputNode("storage")),
+                            links=tuple(links))
+    flows = graph.propagate_flows(g)
+    metrics.score_system(g, flows)
+    energy.error_costs(g, energy.build_ledger(g, flows), flows)
+
+commands = [["run", cfg] for cfg in sorted(CONFIG_DIR.glob("*.cfg"))]
+commands += [[command, CONFIG_DIR / cfg] for command, cfg in
+             [("report", "cms_tables.cfg"), ("sweep", "cms_sweep.cfg"), ("costs", "cms_run3.cfg")]]
+codes = set()
+for command, cfg in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.add(cli.main([command, str(cfg)]))
+print(len(commands), codes)
+"""
+
+
+def test_the_runtime_needs_no_scipy():
+    probe = f"from pathlib import Path\nCONFIG_DIR = Path({str(CONFIG_DIR)!r})\n{_NO_SCIPY_PROBE}"
+    runs = len(list(CONFIG_DIR.glob("*.cfg"))) + 3
+    assert _fresh_python(probe) == f"{runs} {{0}}"
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
