@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -44,13 +43,14 @@ __all__ = [
 
 
 _SQRT_HALF = math.sqrt(0.5)
-_STANDARD_NORMAL = NormalDist()
 
 
 def _normal_quantile(q: float) -> float:
     if q in (0.0, 1.0):  # inv_cdf raises at the ends
         return math.inf if q else -math.inf
-    return _STANDARD_NORMAL.inv_cdf(q)
+    from statistics import NormalDist  # loads decimal and fractions: only a normal quantile pays
+
+    return NormalDist().inv_cdf(q)
 
 
 def _expit(x: float) -> float:

@@ -4,13 +4,15 @@ Five subcommands: validate (parse + structural checks), run (one scenario),
 sweep (the config's sweep grid), costs (per-error-class energy prices), and
 report (evaluate the table layouts a config references).
 
-Results print to stdout in human-readable form; --out writes them to a file
-as CSV or JSON (--format).  When --out names a directory, or is omitted but
-DAQFLOW_OUT is set, the file lands there under a default name derived from
-the config and subcommand.  Exit codes: 0 success, 1 model error or an
-output file that cannot be written, 2 config error; also 1, with no
-traceback, when stdout is closed before the output ends (a reader such as
-`head` quit early).  --strict escalates model warnings to errors.
+Results print to stdout in human-readable form.  Each command turns its
+results into records, plain dicts in column order, and one writer, _emit,
+puts them in the --out file as CSV or JSON (--format).  When --out names a
+directory, or is omitted but DAQFLOW_OUT is set, the file lands there under
+a default name derived from the config and subcommand.  Exit codes: 0
+success, 1 model error or an output file that cannot be written, 2 config
+error; also 1, with no traceback, when stdout is closed before the output
+ends (a reader such as `head` quit early).  --strict escalates model
+warnings to errors.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from .config import load_config
-from .energy import ErrorCosts
 from .errors import ConfigError, DaqflowError, ModelWarning
 from .graph import PipelineGraph, required_channels, validate_graph
-from .scenario import CSV_COLUMNS, EvaluationResult, ResultRow, evaluate, sweep
+from .scenario import EvaluationResult, ResultRow, evaluate, sweep
 
 __all__ = ["main"]
 
@@ -54,9 +55,6 @@ def _si(value: float, unit: str) -> str:
         if mag >= scale:
             return f"{value / scale:.4g} {prefix}{unit}"
     return f"{value:.4g} {unit}"
-
-
-COSTS_COLUMNS = ("e_tp_j", "e_tn_j", "e_fp_j", "e_fn_j", "tn_tp_ratio", "degenerate")
 
 
 def _int_from(low: int):
@@ -134,42 +132,36 @@ def _out_file(path: Path):
         raise DaqflowError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_rows(path: Path, rows: list[ResultRow], fmt: str, extra_cols=(), extras=None) -> None:
-    if fmt == "json":
-        payload = []
-        for i, row in enumerate(rows):
-            d = dict(zip(extra_cols, extras[i])) if extras else {}
-            d.update(row.as_dict())
-            payload.append(d)
-        with _out_file(path) as fh:
-            fh.write(json.dumps({"rows": payload}, indent=2) + "\n")
+def _emit(args, command: str, records: list[dict], payload=None, lead: str = "") -> None:
+    """Write the records to the --out target, if any, and print "wrote <target>".
+
+    CSV: a header of the first record's keys, then one line per record, None
+    written as "".  JSON: payload() if the command has one (built only when
+    written), else {"rows": records}.  lead goes before "wrote".
+    """
+    target = _out_target(args, command)
+    if target is None:
         return
-    with _out_file(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(extra_cols) + list(CSV_COLUMNS))
-        for i, row in enumerate(rows):
-            prefix = [str(v) for v in extras[i]] if extras else []
-            writer.writerow(prefix + row.csv_fields())
+    with _out_file(target) as fh:
+        if args.format == "json":
+            document = {"rows": records} if payload is None else payload()
+            fh.write(json.dumps(document, indent=2) + "\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(records[0])
+            writer.writerows(["" if v is None else str(v) for v in r.values()] for r in records)
+    print(f"{lead}wrote {target}")
 
 
-def _print_rows(rows: list[ResultRow], extra_cols=(), extras=None) -> None:
-    header = list(extra_cols) + list(CSV_COLUMNS)
-    table = [header]
-    for i, row in enumerate(rows):
-        prefix = [str(v) for v in extras[i]] if extras else []
-        fields = []
-        for col in CSV_COLUMNS:
-            v = getattr(row, col)
-            if v is None:
-                fields.append("")
-            elif isinstance(v, float):
-                fields.append(f"{v:.6g}")
-            else:
-                fields.append(str(v))
-        table.append(prefix + fields)
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for r in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+def _print_table(records: list[dict]) -> None:
+    """Print records as aligned columns: None blank, floats to 6 digits."""
+    table = [list(records[0])] + [
+        ["" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v) for v in r.values()]
+        for r in records
+    ]
+    widths = [max(len(cells[i]) for cells in table) for i in range(len(table[0]))]
+    for cells in table:
+        print("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
 
 
 def _cmd_validate(args) -> int:
@@ -269,35 +261,26 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     result = evaluate(cfg, seed=args.seed)
     _print_run(result, args.config)
-    target = _out_target(args, "run")
-    if target is not None:
-        if args.format == "json":
-            with _out_file(target) as fh:
-                fh.write(json.dumps(_run_json(result, args.config), indent=2) + "\n")
-        else:
-            _write_rows(target, [result.row], "csv")
-        print(f"wrote {target}")
+    _emit(args, "run", [result.row.as_dict()], payload=lambda: _run_json(result, args.config))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     rows = sweep(cfg, jobs=args.jobs, seed=args.seed)
-    _print_rows(rows)
+    records = [row.as_dict() for row in rows]
+    _print_table(records)
     failed = sum(1 for r in rows if r.error)
     if failed:
         print(f"({failed} of {len(rows)} points failed; see the error column)")
-    target = _out_target(args, "sweep")
-    if target is not None:
-        _write_rows(target, rows, args.format)
-        print(f"wrote {target}")
+    _emit(args, "sweep", records)
     return 0
 
 
 def _cmd_costs(args) -> int:
     cfg = load_config(args.config)
     result = evaluate(cfg, seed=args.seed)
-    costs: ErrorCosts = result.costs
+    costs = result.costs
     print(f"scenario: {args.config}")
     print(f"  true positive:  {_si(costs.e_tp_j, 'J')}")
     print(f"  true negative:  {_si(costs.e_tn_j, 'J')}")
@@ -306,19 +289,7 @@ def _cmd_costs(args) -> int:
         print("  false negative: undefined (no true positives reach the output)")
     else:
         print(f"  false negative: {_si(costs.e_fn_j, 'J')}")
-    target = _out_target(args, "costs")
-    if target is not None:
-        if args.format == "json":
-            with _out_file(target) as fh:
-                fh.write(json.dumps(costs.as_dict(), indent=2) + "\n")
-        else:
-            with _out_file(target) as fh:
-                writer = csv.writer(fh)
-                writer.writerow(COSTS_COLUMNS)
-                writer.writerow(
-                    ["" if getattr(costs, c) is None else str(getattr(costs, c)) for c in COSTS_COLUMNS]
-                )
-        print(f"wrote {target}")
+    _emit(args, "costs", [costs.as_dict()], payload=costs.as_dict)
     return 0
 
 
@@ -326,31 +297,23 @@ def _cmd_report(args) -> int:
     cfg = load_config(args.config)
     if cfg.report is None:
         raise ConfigError("config has no report section")
-    all_rows: list[ResultRow] = []
-    extras: list[tuple[str, str]] = []
+    records: list[dict] = []
     for table in cfg.report.tables:
         print(f"\n== {table.title} ==")
-        table_rows = []
-        table_extras = []
+        table_records = []
         for row_spec in table.rows:
             row_cfg = load_config(row_spec.config_path)
             try:
-                result = evaluate(row_cfg, seed=args.seed)
-                row = result.row
+                row = evaluate(row_cfg, seed=args.seed).row
             except DaqflowError as exc:
                 row = ResultRow(
                     pileup=None, reduction_ratio=None, skill=None, variant="",
                     error=f"{type(exc).__name__}: {exc}",
                 )
-            table_rows.append(row)
-            table_extras.append((table.title, row_spec.label))
-        _print_rows(table_rows, extra_cols=("table", "label"), extras=table_extras)
-        all_rows.extend(table_rows)
-        extras.extend(table_extras)
-    target = _out_target(args, "report")
-    if target is not None:
-        _write_rows(target, all_rows, args.format, extra_cols=("table", "label"), extras=extras)
-        print(f"\nwrote {target}")
+            table_records.append({"table": table.title, "label": row_spec.label, **row.as_dict()})
+        _print_table(table_records)
+        records.extend(table_records)
+    _emit(args, "report", records, lead="\n")
     return 0
 
 

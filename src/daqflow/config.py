@@ -85,40 +85,31 @@ _LOC = "__loc__"
 
 
 class _TaggedLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """Safe loader (libyaml's when PyYAML has it) that stamps every mapping with its line."""
+    """Safe loader (libyaml's when PyYAML has it) that stamps every mapping with its file:line."""
 
 
 def _tagged_mapping(loader, node, deep=False):
     mapping = yaml.constructor.SafeConstructor.construct_mapping(loader, node, deep=deep)
-    mapping[_LOC] = node.start_mark.line + 1
+    mapping[_LOC] = f"{loader.filename}:{node.start_mark.line + 1}"
     return mapping
 
 
 _TaggedLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _tagged_mapping)
 
 
-def _stamp_filename(obj, filename: str):
-    """Rewrite integer line stamps into 'file:line' strings, recursively."""
-    if isinstance(obj, dict):
-        if isinstance(obj.get(_LOC), int):
-            obj[_LOC] = f"{filename}:{obj[_LOC]}"
-        for v in obj.values():
-            _stamp_filename(v, filename)
-    elif isinstance(obj, list):
-        for v in obj:
-            _stamp_filename(v, filename)
-
-
 def _load_yaml(text: str, filename: str) -> dict:
+    loader = _TaggedLoader(text)  # as yaml.load drives it, with the file name set
+    loader.filename = filename
     try:
-        data = yaml.load(text, Loader=_TaggedLoader)
+        data = loader.get_single_data()
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {filename}: {exc}") from exc
+    finally:
+        loader.dispose()
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{filename}: top level must be a mapping")
-    _stamp_filename(data, filename)
     return data
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .classifier import apply_skill
 from .energy import ErrorCosts, build_ledger, error_costs
@@ -287,21 +286,6 @@ def _replace_node(graph: PipelineGraph, node_id: str, new_node) -> PipelineGraph
     return PipelineGraph(nodes=nodes, links=graph.links)
 
 
-CSV_COLUMNS = (
-    "pileup",
-    "reduction_ratio",
-    "skill",
-    "variant",
-    "power_w",
-    "precision",
-    "recall",
-    "f1",
-    "output_rate_hz",
-    "productivity_per_kj",
-    "error",
-)
-
-
 @dataclass(frozen=True)
 class ResultRow:
     pileup: float | None
@@ -319,12 +303,8 @@ class ResultRow:
     def as_dict(self) -> dict:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
 
-    def csv_fields(self) -> list[str]:
-        out = []
-        for c in CSV_COLUMNS:
-            v = getattr(self, c)
-            out.append("" if v is None else str(v))
-        return out
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -452,6 +432,8 @@ def sweep(cfg, *, jobs: int = 1, seed: int | None = None) -> list[ResultRow]:
     if workers > 1:
         chunk = math.ceil(len(points) / workers)
         workers = math.ceil(len(points) / chunk)  # no worker left without a chunk
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points, chunksize=chunk))
     return [_sweep_point(p) for p in points]

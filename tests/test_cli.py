@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,12 +20,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import daqflow
-from daqflow.cli import COSTS_COLUMNS, main
+from daqflow.cli import main
 from daqflow.config import load_config
 from daqflow.energy import build_ledger, energy_balance
-from daqflow.scenario import CSV_COLUMNS, evaluate
+from daqflow.scenario import CSV_COLUMNS, evaluate, sweep
 
 CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
+
+# the CSV headers, in order
+ROW_COLUMNS = [
+    "pileup", "reduction_ratio", "skill", "variant", "power_w", "precision", "recall", "f1",
+    "output_rate_hz", "productivity_per_kj", "error",
+]
+COSTS_HEADER = ["e_tp_j", "e_tn_j", "e_fp_j", "e_fn_j", "tn_tp_ratio", "degenerate"]
 
 # small sample_count keeps the menu fit cheap; the node roles make the
 # skill axis and variant machinery reachable
@@ -513,6 +521,21 @@ def test_the_runtime_needs_no_scipy():
     assert _fresh_python(probe) == f"{runs} {{0}}"
 
 
+def test_commands_import_only_what_they_run():
+    # statistics serves only a parametric normal quantile and a process pool
+    # only `sweep --jobs` > 1; no bundled run or report needs either
+    probe = (
+        "import contextlib, io, sys\n"
+        "from daqflow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(['run', {str(CONFIG_DIR / 'cms_run3.cfg')!r}]),\n"
+        f"             cli.main(['report', {str(CONFIG_DIR / 'cms_tables.cfg')!r}])]\n"
+        "unused = ('statistics', 'concurrent.futures.process')\n"
+        "print(codes, [m for m in unused if m in sys.modules])"
+    )
+    assert _fresh_python(probe) == "[0, 0] []"
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # the reader goes away before the first line: `daqflow run ... | true`
     src = str(Path(daqflow.__file__).resolve().parents[1])
@@ -638,7 +661,7 @@ def test_costs_csv(full_cfg, tmp_path):
     assert main(["costs", str(full_cfg), "--out", str(out)]) == 0
     with out.open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(COSTS_COLUMNS)
+    assert rows[0] == COSTS_HEADER
     values = dict(zip(rows[0], rows[1]))
     assert float(values["e_fp_j"]) == pytest.approx(
         float(values["e_tp_j"]) - float(values["e_tn_j"]), rel=1e-9
@@ -676,6 +699,101 @@ def test_report_prefixes_table_and_label(tmp_path, capsys):
 
     # a config without a report section cannot be reported on
     assert main(["report", str(tmp_path / "mini.cfg")]) == 2
+
+
+WRITER_CASES = {
+    "run": ("cms_run3", ROW_COLUMNS),
+    "costs": ("cms_run3", COSTS_HEADER),
+    "sweep": ("cms_sweep", ROW_COLUMNS),
+    "report": ("cms_tables", ["table", "label", *ROW_COLUMNS]),
+}
+
+
+def _expected_records(command, load_fixture, eval_fixture, sweep_rows_pair):
+    """The records a command writes, built in process from evaluate and sweep."""
+    if command == "run":
+        return [eval_fixture("cms_run3").row.as_dict()]
+    if command == "costs":
+        return [eval_fixture("cms_run3").costs.as_dict()]
+    if command == "sweep":
+        return [row.as_dict() for row in sweep_rows_pair[0]]
+    return [
+        {"table": table.title, "label": spec.label,
+         **eval_fixture(Path(spec.config_path).stem).row.as_dict()}
+        for table in load_fixture("cms_tables").report.tables
+        for spec in table.rows
+    ]
+
+
+def test_the_row_columns_are_the_result_row_fields():
+    assert CSV_COLUMNS == tuple(ROW_COLUMNS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(WRITER_CASES))
+def test_every_command_writes_its_records(
+    command, fmt, tmp_path, capsys, load_fixture, eval_fixture, sweep_rows_pair
+):
+    name, header = WRITER_CASES[command]
+    out = tmp_path / f"out.{fmt}"
+    cfg = str(CONFIG_DIR / f"{name}.cfg")
+    assert main([command, cfg, "--format", fmt, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"wrote {out}"
+    assert (lines[-2] == "") == (command == "report")  # report's tables end in a blank line
+    expected = _expected_records(command, load_fixture, eval_fixture, sweep_rows_pair)
+    assert all(list(record) == header for record in expected)
+    if fmt == "csv":
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header
+        assert rows[1:] == [
+            ["" if v is None else str(v) for v in record.values()] for record in expected
+        ]
+        return
+    text = out.read_text()
+    assert text.endswith("}\n")
+    payload = json.loads(text)
+    if command == "run":
+        assert set(payload) == {
+            "config", "row", "score", "costs", "storage_rate_bit_s", "nodes", "edges",
+        }
+        assert payload["row"] == expected[0]
+        assert list(payload["row"]) == header
+    elif command == "costs":
+        assert payload == expected[0]
+        assert list(payload) == header
+    else:
+        assert payload == {"rows": expected}
+        assert [list(row) for row in payload["rows"]] == [header] * len(expected)
+
+
+def test_a_failed_sweep_point_is_blank_in_print_and_csv(tmp_path, capsys):
+    cfg = _extending_base(tmp_path, "sweep: {pileup: [60, 1.0e+300], skill: [1.0]}\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+    header, ok, failed, note, wrote = capsys.readouterr().out.splitlines()
+    assert note == "(1 of 2 points failed; see the error column)"
+    assert wrote == f"wrote {out}"
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    assert header.split() == ROW_COLUMNS
+
+    def cells(line):
+        return [line[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
+
+    rows = sweep(load_config(cfg))
+    assert cells(ok) == [
+        f"{v:.6g}" if isinstance(v, float) else str(v) for v in rows[0].as_dict().values()
+    ]
+    assert cells(failed)[:4] == ["1e+300", "", "1", "config"]
+    assert cells(failed)[4:-1] == [""] * 6
+    assert cells(failed)[-1].startswith("ModelError: OverflowError: ")
+    with out.open(newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[1:] == [
+        ["" if v is None else str(v) for v in row.as_dict().values()] for row in rows
+    ]
+    assert written[2][1:10] == ["", "1.0", "config", "", "", "", "", "", ""]
 
 
 def test_strict_escalates_model_warnings(tmp_path, capsys):

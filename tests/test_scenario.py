@@ -327,7 +327,7 @@ def test_sweep_starts_no_more_workers_than_points(load_fixture, sweep_rows_pair,
             started.append((self.workers, chunksize))
             return map(fn, items)
 
-    monkeypatch.setattr(scenario, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     rows = sweep(load_fixture("cms_sweep"), jobs=64)
     assert started == [(4, 1)]  # the bundled grid has four points
     assert rows == sweep_rows_pair[0]
