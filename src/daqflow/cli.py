@@ -142,10 +142,13 @@ def _emit(args, command: str, records: list[dict], payload=None, lead: str = "")
     target = _out_target(args, command)
     if target is None:
         return
+    if args.format == "json":
+        # built before the file is opened, so a failing payload leaves no file behind
+        document = {"rows": records} if payload is None else payload()
+        text = json.dumps(document, indent=2) + "\n"
     with _out_file(target) as fh:
         if args.format == "json":
-            document = {"rows": records} if payload is None else payload()
-            fh.write(json.dumps(document, indent=2) + "\n")
+            fh.write(text)
         else:
             writer = csv.writer(fh)
             writer.writerow(records[0])

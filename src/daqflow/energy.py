@@ -55,13 +55,14 @@ def build_ledger(graph: PipelineGraph, assignment: FlowAssignment) -> EnergyLedg
     node_energy: dict[str, float] = {}
     link_energy: dict[str, float] = {}
     counts: dict[str, float] = {}
+    # the graph's in-link index, read directly: a method call per node costs more than the sums
+    flows, node_inputs, links_in = assignment.flows, assignment.node_inputs, graph._in
 
     for link in graph.links:
-        flow = assignment.flows[link.id]
-        link_energy[link.id] = flow.size * link.energy_per_bit
+        link_energy[link.id] = flows[link.id].size * link.energy_per_bit
 
     for node in graph.nodes:
-        flow_in = assignment.node_inputs[node.id]
+        flow_in = node_inputs[node.id]
         counts[node.id] = flow_in.rate
         if isinstance(node, SensorNode):
             e = 0.0
@@ -70,7 +71,7 @@ def build_ledger(graph: PipelineGraph, assignment: FlowAssignment) -> EnergyLedg
             node_energy[node.id] = e
         elif isinstance(node, ProcessNode):
             e = node.complexity(flow_in.size) * node.energy_per_op
-            for link in graph.links_in(node.id):
+            for link in links_in.get(node.id, ()):
                 e += link_energy[link.id]
             if node.constant_power_w > 0.0 and flow_in.rate > 0.0:
                 e += node.constant_power_w / flow_in.rate
@@ -78,11 +79,12 @@ def build_ledger(graph: PipelineGraph, assignment: FlowAssignment) -> EnergyLedg
         else:
             # Output: incoming streams are archived independently, so the
             # per-message transfer cost is the rate-weighted stream mean.
-            total_rate = sum(assignment.flows[l.id].rate for l in graph.links_in(node.id))
+            incoming = links_in.get(node.id, ())
+            total_rate = sum(flows[l.id].rate for l in incoming)
             e = 0.0
             if total_rate > 0.0:
-                for link in graph.links_in(node.id):
-                    f = assignment.flows[link.id]
+                for link in incoming:
+                    f = flows[link.id]
                     e += f.rate * f.size * link.energy_per_bit
                 e /= total_rate
             node_energy[node.id] = e
@@ -92,7 +94,7 @@ def build_ledger(graph: PipelineGraph, assignment: FlowAssignment) -> EnergyLedg
     totals: dict[str, float] = {}
     for nid in graph.topological_order():
         te = node_energy[nid]
-        for link in graph.links_in(nid):
+        for link in links_in.get(nid, ()):
             te += totals[link.source]
         totals[nid] = te
 

@@ -51,7 +51,7 @@ __all__ = [
 MERGE_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorNode:
     id: str
     sample_size: float  # bits per sample
@@ -63,14 +63,13 @@ class SensorNode:
     constant_power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        values = (
-            self.sample_size,
-            self.sample_rate,
-            self.relevant_fraction,
-            self.enabled_min_pileup,
-            self.constant_power_w,
-        )
-        if not all(math.isfinite(v) for v in values if v is not None):
+        if not (
+            math.isfinite(self.sample_size)
+            and math.isfinite(self.sample_rate)
+            and math.isfinite(self.relevant_fraction)
+            and (self.enabled_min_pileup is None or math.isfinite(self.enabled_min_pileup))
+            and math.isfinite(self.constant_power_w)
+        ):
             raise ValueError(f"sensor {self.id!r}: numeric fields must be finite")
         if self.sample_size <= 0 or self.sample_rate <= 0:
             raise ValueError(f"sensor {self.id!r}: sample_size and sample_rate must be positive")
@@ -80,7 +79,7 @@ class SensorNode:
             raise ValueError(f"sensor {self.id!r}: constant_power_w must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessNode:
     id: str
     complexity: CostFn  # input bits -> ops
@@ -93,8 +92,12 @@ class ProcessNode:
     constant_power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        values = (self.energy_per_op, self.reduction_target, self.unit_power_w, self.constant_power_w)
-        if not all(math.isfinite(v) for v in values if v is not None):
+        if not (
+            math.isfinite(self.energy_per_op)
+            and (self.reduction_target is None or math.isfinite(self.reduction_target))
+            and (self.unit_power_w is None or math.isfinite(self.unit_power_w))
+            and math.isfinite(self.constant_power_w)
+        ):
             raise ValueError(f"process {self.id!r}: numeric fields must be finite")
         if self.energy_per_op < 0:
             raise ValueError(f"process {self.id!r}: energy_per_op must be >= 0")
@@ -102,7 +105,7 @@ class ProcessNode:
             raise ValueError(f"process {self.id!r}: reduction_target must exceed 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutputNode:
     id: str
 
@@ -110,7 +113,7 @@ class OutputNode:
 Node = SensorNode | ProcessNode | OutputNode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommLink:
     id: str
     source: str
@@ -127,7 +130,7 @@ class CommLink:
             raise ValueError(f"link {self.id!r}: bandwidth_per_channel must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageFlow:
     rate: float  # messages/second
     size: float  # bits/message
@@ -135,7 +138,8 @@ class MessageFlow:
     n_false: float  # irrelevant messages/second
 
     def __post_init__(self) -> None:
-        if min(self.rate, self.size, self.n_true, self.n_false) < 0:
+        # `>=` is False for NaN, so a NaN field fails here too
+        if not (self.rate >= 0 and self.size >= 0 and self.n_true >= 0 and self.n_false >= 0):
             raise ValueError("flow fields must be >= 0")
         if abs((self.n_true + self.n_false) - self.rate) > 1e-9 * max(self.rate, 1.0):
             raise ValueError(
@@ -250,8 +254,9 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
     pairing can be checked before models are built.
     """
     v: list[str] = []
-    dupes = _duplicates(n.id for n in graph.nodes)
-    if dupes:
+    by_id, links_in, links_out = graph._by_id, graph._in, graph._out
+    if len(by_id) < len(graph.nodes):  # the index keeps one node per id
+        dupes = _duplicates(n.id for n in graph.nodes)
         return ValidationReport((f"duplicate node ids: {', '.join(dupes)}",))
     dupes = _duplicates(l.id for l in graph.links)
     if dupes:
@@ -261,10 +266,12 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
 
     dangling = False
     for link in graph.links:
-        for end, name in ((link.source, "source"), (link.target, "target")):
-            if end not in graph._by_id:
-                v.append(f"link {link.id!r}: {name} {end!r} is not a node")
-                dangling = True
+        if link.source not in by_id:
+            v.append(f"link {link.id!r}: source {link.source!r} is not a node")
+            dangling = True
+        if link.target not in by_id:
+            v.append(f"link {link.id!r}: target {link.target!r} is not a node")
+            dangling = True
         if link.source == link.target:
             v.append(f"link {link.id!r}: self-loop")
     if dangling:
@@ -278,21 +285,25 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
         v.append("graph contains a cycle")
         return ValidationReport(tuple(v))
 
+    # the index holds an id only if it has a link at that end
     for node in graph.nodes:
-        incoming = graph.links_in(node.id)
-        if isinstance(node, SensorNode) and incoming:
-            v.append(f"sensor {node.id!r} has incoming links")
-        if not isinstance(node, SensorNode) and not incoming:
+        incoming = node.id in links_in
+        if isinstance(node, SensorNode):
+            if incoming:
+                v.append(f"sensor {node.id!r} has incoming links")
+        elif not incoming:
             v.append(f"node {node.id!r} has no predecessors")
-        if isinstance(node, OutputNode) and graph.links_out(node.id):
+        if isinstance(node, OutputNode) and node.id in links_out:
             v.append(f"output {node.id!r} has outgoing links")
 
     if len(outputs) == 1:
         # every node must reach the output
         reaches = {outputs[0].id}
         for nid in reversed(graph._order):
-            if any(link.target in reaches for link in graph.links_out(nid)):
-                reaches.add(nid)
+            for link in links_out.get(nid, ()):
+                if link.target in reaches:
+                    reaches.add(nid)
+                    break
         for node in graph.nodes:
             if node.id not in reaches:
                 v.append(f"node {node.id!r} has no path to the output")
@@ -335,19 +346,22 @@ class FlowAssignment:
 
 def _merge_incoming(node_id: str, incoming: list[MessageFlow]) -> MessageFlow:
     """Synchronized fan-in: equal rates required, fragment sizes add."""
-    rate = max(f.rate for f in incoming)
-    n_true = max(f.n_true for f in incoming)
+    rate = max([f.rate for f in incoming])
+    n_true = max([f.n_true for f in incoming])
+    rate_tol = MERGE_RTOL * max(rate, 1e-300)
+    n_true_tol = MERGE_RTOL * max(n_true, 1e-300)
     for f in incoming:
-        for got, want, what in (
-            (f.rate, rate, "rate"),
-            (f.n_true, n_true, "n_true"),
-        ):
-            if abs(got - want) > MERGE_RTOL * max(want, 1e-300):
-                raise FlowConsistencyError(
-                    f"node {node_id!r}: predecessor {what}s disagree "
-                    f"({got!r} vs {want!r}); synchronized fan-in needs equal rates"
-                )
-    size = sum(f.size for f in incoming)
+        if abs(f.rate - rate) > rate_tol:
+            got, want, what = f.rate, rate, "rate"
+        elif abs(f.n_true - n_true) > n_true_tol:
+            got, want, what = f.n_true, n_true, "n_true"
+        else:
+            continue
+        raise FlowConsistencyError(
+            f"node {node_id!r}: predecessor {what}s disagree "
+            f"({got!r} vs {want!r}); synchronized fan-in needs equal rates"
+        )
+    size = sum([f.size for f in incoming])
     return MessageFlow(rate=rate, size=size, n_true=n_true, n_false=rate - n_true)
 
 
@@ -375,9 +389,9 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
     out_true = 0.0
     out_false = 0.0
 
+    by_id, links_in, links_out = graph._by_id, graph._in, graph._out
     for nid in graph.topological_order():
-        node = graph.node(nid)
-        incoming = [flows[l.id] for l in graph.links_in(nid)]
+        node = by_id[nid]
         if isinstance(node, SensorNode):
             n_true = node.sample_rate * node.relevant_fraction
             out_flow = node_inputs[nid] = MessageFlow(
@@ -385,7 +399,7 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
             )
             node_powers[nid] = node.constant_power_w
         elif isinstance(node, ProcessNode):
-            merged = _merge_incoming(nid, incoming)
+            merged = _merge_incoming(nid, [flows[l.id] for l in links_in[nid]])
             node_inputs[nid] = merged
             try:
                 ops = node.complexity(merged.size)
@@ -404,6 +418,7 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
             else:
                 out_flow = replace(merged, size=out_size)
         else:  # OutputNode: archive every incoming stream
+            incoming = [flows[l.id] for l in links_in[nid]]
             storage_rate = sum(f.rate * f.size for f in incoming)
             out_true = sum(f.n_true for f in incoming)
             out_false = sum(f.n_false for f in incoming)
@@ -413,7 +428,7 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
             node_powers[nid] = 0.0
             continue
 
-        for link in graph.links_out(nid):
+        for link in links_out.get(nid, ()):
             flows[link.id] = out_flow
             link_powers[link.id] = out_flow.rate * out_flow.size * link.energy_per_bit
 
@@ -431,5 +446,12 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
 
 
 def required_channels(link: CommLink, flow: MessageFlow) -> int:
-    """Channel count needed to carry the flow's bit rate."""
-    return math.ceil(flow.rate * flow.size / link.bandwidth_per_channel)
+    """Channel count needed to carry the flow's bit rate; ModelError if it is not finite."""
+    bits = flow.rate * flow.size
+    channels = bits / link.bandwidth_per_channel
+    if not math.isfinite(channels):
+        raise ModelError(
+            f"link {link.id!r}: channel demand is not finite "
+            f"({bits!r} bit/s over {link.bandwidth_per_channel!r} bit/s per channel)"
+        )
+    return math.ceil(channels)

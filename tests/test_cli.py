@@ -628,6 +628,30 @@ def test_run_json_payload(full_cfg, tmp_path):
     assert payload["storage_rate_bit_s"] == pytest.approx(out_edge["rate_hz"] * 1000.0)
 
 
+def test_run_json_refuses_a_channel_demand_that_is_not_finite(tmp_path, capsys):
+    # 1e26 bit/s over 1e-291 bit/s lanes overflows the channel count
+    path = tmp_path / "thin.cfg"
+    path.write_text(
+        "schema_version: 1\n"
+        "conditions: {pileup: 1}\n"
+        "nodes:\n"
+        '  - {kind: sensor, id: s, sample_size: "1.0e+20 bit", sample_rate: "1 MHz",'
+        " relevant_fraction: 0.5}\n"
+        "  - {kind: output, id: out}\n"
+        "links:\n"
+        '  - {id: thin, source: s, target: out, energy_per_bit: "1 pJ/bit",'
+        ' bandwidth_per_channel: "1.0e-300 Gb/s"}\n'
+    )
+    out = tmp_path / "row.json"
+    assert main(["run", str(path), "--format", "json", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: link 'thin': channel demand is not finite"
+        " (1e+26 bit/s over 1e-291 bit/s per channel)"
+    ]
+    assert not out.exists()
+
+
 def test_seeded_runs_are_reproducible(full_cfg, tmp_path):
     a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     assert main(["run", str(full_cfg), "--format", "json", "--out", str(a), "--seed", "7"]) == 0

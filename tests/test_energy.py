@@ -1,11 +1,17 @@
 """Per-message energy attribution, path sums, and error-class costs."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discrete_sim
 from daqflow.classifier import ClassifierModel, ParametricScores
 from daqflow.energy import (
+    ErrorCosts,
     build_ledger,
     energy_balance,
     error_costs,
@@ -13,7 +19,7 @@ from daqflow.energy import (
     total_energy,
 )
 from daqflow.errors import ModelError
-from daqflow.functions import ConstantFn, LinearFn
+from daqflow.functions import ConstantFn, LinearFn, PowerLawFn
 from daqflow.graph import (
     CommLink,
     OutputNode,
@@ -22,6 +28,7 @@ from daqflow.graph import (
     SensorNode,
     propagate_flows,
 )
+from daqflow.metrics import score_system
 
 
 def _link(i, src, dst, e=0.0, bw=1e10):
@@ -291,3 +298,151 @@ def test_costs_degenerate_without_relevant_traffic():
     assert costs.tn_tp_ratio is None
     assert costs.e_tp_j > 0.0
     assert costs.e_fp_j == costs.e_tp_j - costs.e_tn_j
+
+
+def _fanin_graph(family, separations, n_sensors=64):
+    """The fan-in benchmark's shape: sensors -> readout -> l1t -> hlt -> storage."""
+
+    def model(separation):
+        return ClassifierModel(
+            positive=ParametricScores(family, separation, 1.0),
+            negative=ParametricScores(family, 0.0, 1.0),
+        )
+
+    sensors = [
+        SensorNode(
+            id=f"s{i:02d}", sample_size=_fanin_size(i), sample_rate=40e6, relevant_fraction=1e-4
+        )
+        for i in range(n_sensors)
+    ]
+    linear = LinearFn(1.0)
+    process = [
+        ProcessNode(
+            id="readout", role="readout", complexity=ConstantFn(0.0), energy_per_op=0.0,
+            output_size=linear,
+        ),
+        ProcessNode(
+            id="l1t", role="l1t", complexity=LinearFn(25.0), energy_per_op=7.5e-12,
+            output_size=linear, classifier=model(separations[0]), reduction_target=400.0,
+        ),
+        ProcessNode(
+            id="hlt", role="hlt", complexity=PowerLawFn(2.4, 8.0e11, 1.6e7), energy_per_op=20e-12,
+            output_size=linear, classifier=model(separations[1]), reduction_target=100.0,
+            unit_power_w=530.0,
+        ),
+    ]
+    links = [_link(f"{s.id}_readout", s.id, "readout", 22e-12, 10.24e9) for s in sensors]
+    links += [
+        _link("readout_l1t", "readout", "l1t", 22e-12, 10.24e9),
+        _link("l1t_hlt", "l1t", "hlt", 25e-12, 100e9),
+        _link("hlt_storage", "hlt", "storage", 25e-12, 100e9),
+    ]
+    return PipelineGraph(
+        nodes=tuple(sensors + process + [OutputNode("storage")]), links=tuple(links)
+    )
+
+
+def _fanin_size(i):
+    return 8e3 + 16e3 * ((37 * i) % 64) / 63  # 64 distinct sizes, 8 to 24 kbit, not all integers
+
+
+# family -> (separations, output true rate, output false rate, error costs);
+# recorded from the per-call implementation this one replaced
+FANIN_PINS = {
+    "normal": (
+        (2.0, 3.0), 546.1452162456719, 453.8547837543281,
+        ErrorCosts(
+            e_tp_j=0.022113138800115655, e_tn_j=0.0002909834933114206,
+            e_fp_j=0.021822155306804234, e_fn_j=21.33183499900373,
+            tn_tp_ratio=73232.43883770483,
+        ),
+    ),
+    "logistic": (
+        (2.5, 3.5), 29.043525653904904, 970.9564743460951,
+        ErrorCosts(
+            e_tp_j=0.022113138800115655, e_tn_j=0.00029109385557198427,
+            e_fp_j=0.02182204494454367, e_fn_j=400.8796330253338,
+            tn_tp_ratio=1377072.1061941157,
+        ),
+    ),
+    "uniform": (
+        (0.002, 0.05), 1.0797898796614431, 998.9202101203385,
+        ErrorCosts(
+            e_tp_j=0.022113138800115655, e_tn_j=0.00029113346072226574,
+            e_fp_j=0.02182200533939339, e_fn_j=10783.49361035617,
+            tn_tp_ratio=37039614.68163592,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FANIN_PINS))
+def test_fan_in_at_scale_is_bit_identical(family):
+    separations, out_true, out_false, costs = FANIN_PINS[family]
+    g = _fanin_graph(family, separations)
+    a = propagate_flows(g)
+    assert a.total_power == 11667.313880011565
+    assert a.storage_rate == 1023999999.9999999
+    assert (a.output_true_rate, a.output_false_rate) == (out_true, out_false)
+    want = {f"s{i:02d}_readout": 40e6 * _fanin_size(i) * 22e-12 for i in range(64)}
+    want.update(
+        readout_l1t=901.1199999999999, l1t_hlt=2.5599999999999996, hlt_storage=0.025599999999999998
+    )
+    assert dict(a.link_powers) == want
+    assert error_costs(g, build_ledger(g, a), a) == costs
+
+
+def _with_fan_in(g, rng):
+    """g with its sensors replaced by 2-64 that feed its first stage, about a
+    third of them drawing constant power."""
+    sensors = [n for n in g.nodes if isinstance(n, SensorNode)]
+    sensor_ids = {n.id for n in sensors}
+    entry = g.links_out(sensors[0].id)[0]
+    fan = []
+    links = []
+    for i in range(int(rng.integers(2, 65))):
+        fan.append(
+            replace(
+                sensors[0],
+                id=f"fan{i}",
+                sample_size=float(rng.integers(1_000, 64_000)),
+                constant_power_w=float(rng.uniform(0.1, 10.0)) if rng.random() < 0.3 else 0.0,
+            )
+        )
+        links.append(
+            replace(
+                entry,
+                id=f"fan{i}-{entry.target}",
+                source=f"fan{i}",
+                energy_per_bit=10.0 ** float(rng.uniform(-12, -10)),
+            )
+        )
+    return PipelineGraph(
+        nodes=tuple(fan) + tuple(n for n in g.nodes if n.id not in sensor_ids),
+        links=tuple(links) + tuple(l for l in g.links if l.source not in sensor_ids),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_graphs_meet_the_audit_identities(seed):
+    rng = np.random.default_rng(seed)
+    g = discrete_sim.random_pipeline(rng)
+    for graph in (g, _with_fan_in(g, rng)):
+        a = propagate_flows(graph)
+        score = score_system(graph, a)
+        # relevant messages entering the pipeline: one event's worth, however many fragments
+        relevant = next(
+            a.node_inputs[link.target].n_true
+            for link in graph.links
+            if isinstance(graph.node(link.source), SensorNode)
+        )
+        # F1 = 2 tp / (2 tp + fp + fn), with tp + fn the relevant input; 0 if nothing relevant survives
+        rate = a.output_true_rate + a.output_false_rate
+        f1 = 2.0 * a.output_true_rate / (rate + relevant)
+        assert math.isclose(score.productivity_per_j, rate / a.total_power * f1, rel_tol=1e-9)
+        for nid, cm in a.confusions.items():
+            want = a.node_inputs[nid].rate / graph.node(nid).reduction_target
+            assert math.isclose(cm.tp + cm.fp, want, rel_tol=1e-9), nid
+        balance = energy_balance(graph, build_ledger(graph, a), a)
+        assert math.isclose(balance, a.total_power, rel_tol=1e-9)

@@ -390,12 +390,23 @@ def test_required_channels():
     just_over = MessageFlow(rate=1e6, size=10241.0, n_true=0.0, n_false=1e6)
     assert required_channels(link, just_over) == 2
 
+    # 1e26 bit/s over 1e-291 bit/s lanes: the count overflows
+    thin = _link("thin", "a", "b", bw=1e-291)
+    huge = MessageFlow(rate=1e6, size=1e20, n_true=0.0, n_false=1e6)
+    with pytest.raises(ModelError, match=r"link 'thin': channel demand is not finite"):
+        required_channels(thin, huge)
+
 
 def test_message_flow_invariants():
     with pytest.raises(ValueError, match="add up"):
         MessageFlow(rate=10.0, size=1.0, n_true=5.0, n_false=4.0)
     with pytest.raises(ValueError):
         MessageFlow(rate=10.0, size=-1.0, n_true=5.0, n_false=5.0)
+    # a NaN field fails the sign check, and does not hide a negative one behind it
+    with pytest.raises(ValueError, match="must be >= 0"):
+        MessageFlow(rate=math.nan, size=1.0, n_true=-1.0, n_false=2.0)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        MessageFlow(rate=1.0, size=math.nan, n_true=-1.0, n_false=2.0)
 
 
 def test_unknown_ids_raise_model_errors():
