@@ -51,8 +51,6 @@ import math
 import zlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from .classifier import ClassifierModel, EmpiricalScores
 from .errors import DegeneratePopulationError, FitInfeasibleError
 
@@ -106,6 +104,8 @@ class EfficiencyCurve:
             raise ValueError("plateau must lie in (0, 1]")
 
     def __call__(self, p):
+        import numpy as np
+
         return _turn_on(self, np.array(p, dtype=float))
 
 
@@ -116,6 +116,8 @@ def _turn_on(curve: EfficiencyCurve, p: np.ndarray) -> np.ndarray:
     overflows to inf: either gives exactly 0 or plateau, the step the curve
     tends to.
     """
+    import numpy as np
+
     if curve.width == 0.0:
         np.greater(p, curve.threshold, out=p)
         p *= curve.plateau
@@ -280,6 +282,8 @@ def fit_lambda(path: TriggerPath) -> float:
 
 
 def _substream(seed: int, label: str) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, zlib.crc32(label.encode("utf-8")))))
     )
@@ -308,6 +312,8 @@ def sample_scores(
     for path, lam in fitted:
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"path {path.object_name!r}: lam must be finite and > 0, got {lam}")
+    import numpy as np
+
     scores = np.zeros((2, n), dtype=np.int8)  # per sample, its paths' detections (k <= 20)
     # scratch rows every path overwrites: fresh n-sized arrays per path cost page faults
     work = np.empty((2, n))
@@ -330,6 +336,8 @@ def sample_scores(
 
 def _scores_from_counts(counts: np.ndarray) -> EmpiricalScores:
     # counts[s] samples scored s; EmpiricalScores keeps the scores that occur
+    import numpy as np
+
     values = np.flatnonzero(counts)
     return EmpiricalScores(
         tuple(values.astype(float).tolist()), tuple(np.cumsum(counts[values]).tolist())
@@ -345,6 +353,8 @@ def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
     """
     if len(fitted) > 20:
         raise ValueError("summed mode enumerates 2^k - 1 subsets; menu too large")
+    import numpy as np
+
     # weights[m] = P(mask m): path i doubles the table, its upper half setting bit i
     weights = np.ones(1)
     for path, lam in fitted:
@@ -397,6 +407,8 @@ def _momenta(
     sum rounds away the <= 2**-54 error of -1 - s.  Each step is exact, so
     both forms come out bit for bit.
     """
+    import numpy as np
+
     below_scale = -(1.0 - math.exp(-lam * threshold))
     if isinstance(above, np.ndarray):
         np.multiply(above, -1.0 - below_scale, out=scratch)

@@ -24,8 +24,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DegeneratePopulationError, OperatingPointError
 
 __all__ = [
@@ -146,6 +144,8 @@ class EmpiricalScores:
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalScores":
+        import numpy as np
+
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1 or not np.isfinite(arr).all():
             raise ValueError("empirical scores need a 1-d array of finite samples")
@@ -169,8 +169,9 @@ class EmpiricalScores:
         return self.values[bisect_right(self.cumulative, k)]
 
     def mean(self) -> float:
-        counts = np.diff(self.cumulative, prepend=0)
-        return math.fsum(np.multiply(self.values, counts)) / self.size
+        below = (0,) + self.cumulative[:-1]
+        products = (v * (c - b) for v, c, b in zip(self.values, self.cumulative, below))
+        return math.fsum(products) / self.size
 
     def atom_mass(self, z: float) -> float:
         i = bisect_left(self.values, z)

@@ -41,6 +41,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -177,8 +178,7 @@ def _check_fields(ctx: _Ctx, mapping: dict, section: str, allowed, required=()) 
 # === section tables ===
 
 
-@dataclass(frozen=True)
-class _Field:
+class _Field(NamedTuple):
     """One key of a table-shaped section.
 
     arg is the keyword the table's constructor takes; None marks a key the
@@ -215,21 +215,18 @@ class _Table:
         self.lenient = lenient
 
 
-@dataclass(frozen=True)
-class _OneOf:
+class _OneOf(NamedTuple):
     """Tagged union: the value under `tag` picks the table."""
 
     tag: str
     tables: dict[str, _Table]
 
 
-@dataclass(frozen=True)
-class _ListOf:
+class _ListOf(NamedTuple):
     item: object
 
 
-@dataclass(frozen=True)
-class _MapOf:
+class _MapOf(NamedTuple):
     """A mapping of named items; each key reaches the item's table as `name`."""
 
     item: _Table

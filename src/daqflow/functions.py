@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ConstantFn",
     "LinearFn",
@@ -71,6 +69,8 @@ class TableFn:
             raise ValueError("table x values must be strictly increasing")
 
     def __call__(self, x: float) -> float:
+        import numpy as np
+
         return float(np.interp(x, self.xs, self.ys))
 
 
@@ -138,6 +138,8 @@ class TableScaling:
             raise ValueError("scaling table pile-ups must be strictly increasing")
 
     def __call__(self, pileup: float) -> float:
+        import numpy as np
+
         return float(np.interp(pileup, self.pileups, self.multipliers))
 
     def scale(self, size: float, pileup: float) -> float:

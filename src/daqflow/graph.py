@@ -57,7 +57,7 @@ class SensorNode:
     sample_size: float  # bits per sample
     sample_rate: float  # Hz
     relevant_fraction: float = 0.0
-    pileup_scaling: object = field(default_factory=ConstantScaling)  # pile-up -> size multiplier
+    pileup_scaling: object = ConstantScaling()  # pile-up -> size multiplier
     role: str | None = None
     enabled_min_pileup: float | None = None
     constant_power_w: float = 0.0

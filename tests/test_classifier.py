@@ -6,6 +6,7 @@ direct Monte Carlo — never the module's own arithmetic.
 """
 
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -307,6 +308,26 @@ def test_empirical_cdf_quantile_and_atoms():
     assert dist.quantile(0.1001) == 1.0
     assert dist.quantile(1.0) == 9.0
     assert dist.mean() == pytest.approx(4.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1e12, 1e12), st.integers(1, 10**6)),
+        min_size=1,
+        max_size=40,
+        unique_by=lambda atom: atom[0],
+    )
+)
+def test_empirical_mean_is_the_numpy_form_bit_for_bit(atoms):
+    atoms = sorted(atoms)
+    values = tuple(v for v, _ in atoms)
+    counts = [c for _, c in atoms]
+    counts[0] += MIN_EMPIRICAL_SAMPLES
+    cumulative = tuple(itertools.accumulate(counts))
+    dist = EmpiricalScores(values, cumulative)
+    expected = math.fsum(np.multiply(values, np.diff(cumulative, prepend=0))) / dist.size
+    assert dist.mean() == expected
 
 
 def test_empirical_operating_point_hits_rate_exactly():

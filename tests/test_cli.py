@@ -463,14 +463,10 @@ def test_bundled_runs_and_reports_load_no_scipy(command, cfg):
     assert _fresh_python(probe) == "0 []"
 
 
-# Runs with every scipy import failing: the package imports, builds a
-# fan-in graph shaped like perfbench's fanin_scale with parametric
-# classifiers of each family, propagates and prices it, and runs every
-# bundled config, the bundled report, sweep and costs.
-_NO_SCIPY_PROBE = """
-import contextlib, io, sys
-sys.modules["scipy"] = None  # `import scipy` and its submodules now raise
-from daqflow import cli, energy, functions, graph, metrics
+# Builds a fan-in graph shaped like perfbench's fanin_scale with parametric
+# classifiers of each family, propagates, scores and prices it.
+_FANIN_PROBE = """
+from daqflow import energy, functions, graph, metrics
 from daqflow.classifier import ClassifierModel, ParametricScores
 
 def model(family, separation):
@@ -503,7 +499,15 @@ for family in ("normal", "logistic", "uniform"):
     flows = graph.propagate_flows(g)
     metrics.score_system(g, flows)
     energy.error_costs(g, energy.build_ledger(g, flows), flows)
+"""
 
+# Runs with every scipy import failing: the package imports, runs the fan-in
+# probe, and runs every bundled config, the bundled report, sweep and costs.
+_NO_SCIPY_PROBE = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # `import scipy` and its submodules now raise
+from daqflow import cli
+""" + _FANIN_PROBE + """
 commands = [["run", cfg] for cfg in sorted(CONFIG_DIR.glob("*.cfg"))]
 commands += [[command, CONFIG_DIR / cfg] for command, cfg in
              [("report", "cms_tables.cfg"), ("sweep", "cms_sweep.cfg"), ("costs", "cms_run3.cfg")]]
@@ -519,6 +523,29 @@ def test_the_runtime_needs_no_scipy():
     probe = f"from pathlib import Path\nCONFIG_DIR = Path({str(CONFIG_DIR)!r})\n{_NO_SCIPY_PROBE}"
     runs = len(list(CONFIG_DIR.glob("*.cfg"))) + 3
     assert _fresh_python(probe) == f"{runs} {{0}}"
+
+
+# A plain `import daqflow.cli` loads no numpy; with every numpy import failing
+# after it, the fan-in probe runs and every bundled config validates.  numpy
+# loads only when a trigger menu is sampled or a table is interpolated.
+_NO_NUMPY_PROBE = """
+import contextlib, io, sys
+from daqflow import cli
+loaded = "numpy" in sys.modules
+sys.modules["numpy"] = None  # `import numpy` and its submodules now raise
+""" + _FANIN_PROBE + """
+codes = []
+for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["validate", str(cfg)]))
+print(loaded, len(codes), set(codes))
+"""
+
+
+def test_import_and_validate_need_no_numpy():
+    probe = f"from pathlib import Path\nCONFIG_DIR = Path({str(CONFIG_DIR)!r})\n{_NO_NUMPY_PROBE}"
+    configs = len(list(CONFIG_DIR.glob("*.cfg")))
+    assert _fresh_python(probe) == f"False {configs} {{0}}"
 
 
 def test_commands_import_only_what_they_run():

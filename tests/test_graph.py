@@ -10,7 +10,7 @@ import pytest
 import discrete_sim
 from daqflow.classifier import ClassifierModel, ParametricScores
 from daqflow.errors import FlowConsistencyError, GraphValidationError, ModelError
-from daqflow.functions import ConstantFn, LinearFn, PowerLawFn
+from daqflow.functions import ConstantFn, ConstantScaling, LinearFn, PowerLawFn
 from daqflow.graph import (
     CommLink,
     MessageFlow,
@@ -238,6 +238,16 @@ def test_graphs_pickle_and_compare_by_nodes_and_links_only():
     assert restored == g
     assert restored.topological_order() == g.topological_order() == ("sen", "proc", "out")
     assert restored.links_in("out") == g.links_in("out")
+
+
+def test_default_sensors_share_one_constant_scaling():
+    a, b = SensorNode("a", 1.0, 1e6), SensorNode("b", 1.0, 1e6)
+    assert a.pileup_scaling is b.pileup_scaling
+    explicit = SensorNode("a", 1.0, 1e6, pileup_scaling=ConstantScaling())
+    assert explicit.pileup_scaling is not a.pileup_scaling
+    assert explicit == a and hash(explicit) == hash(a)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert replace(b, id="a") == a
 
 
 def test_validation_catalog():
