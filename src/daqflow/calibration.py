@@ -29,7 +29,8 @@ their detection uniforms, the positive momenta, theirs.  An outcome is
 `uniform < eff(p)`, with eff(p) from numpy's exp; platforms agree as far as
 their exp agrees, to a few ulps, so an outcome can differ only for a uniform
 that close to eff(p).  A summed menu's positive events draw their subsets
-with one Generator.choice(p=weights) call on the event stream; path i is
+on the event stream exactly as Generator.choice(p=weights) would: one
+uniform per event, located in the normalised cumulative weights; path i is
 above in subset s when bit i of s + 1 is set.
 
 Calibrate once: `build_menu` keeps two bounded least-recently-used memos.
@@ -204,16 +205,16 @@ def trigger_rate(path: TriggerPath, lam: float) -> float:
         return path.input_rate * curve.plateau * a
 
     s = lam * curve.width
-
-    def below_term(k: int) -> float:
+    past_s = math.exp(-s * c)  # exp(-min(s, k) c) at every k > s
+    above = below = 0.0  # both series, summed left to right
+    for k, w in enumerate(_CVZ_WEIGHTS, start=1):
+        above += w / (s + k)
         gap = abs(k - s)
         if gap == 0.0:
-            return c * a
-        return math.exp(-min(s, k) * c) * -math.expm1(-gap * c) / gap
-
-    above = a * (1.0 - s * sum(w / (s + k) for k, w in enumerate(_CVZ_WEIGHTS, start=1)))
-    below = s * sum(w * below_term(k) for k, w in enumerate(_CVZ_WEIGHTS, start=1))
-    return path.input_rate * curve.plateau * (above + below)
+            below += w * (c * a)
+        else:
+            below += w * ((math.exp(-k * c) if k < s else past_s) * -math.expm1(-gap * c) / gap)
+    return path.input_rate * curve.plateau * (a * (1.0 - s * above) + s * below)
 
 
 def fit_lambda(path: TriggerPath) -> float:
@@ -318,7 +319,7 @@ def sample_scores(
     # scratch rows every path overwrites: fresh n-sized arrays per path cost page faults
     work = np.empty((2, n))
     if mode == "summed":
-        events = _above_subsets(fitted, n, seed)
+        events = _above_subsets(fitted, n, seed, work)
         above = np.empty(n, dtype=np.int8)
         for path, lam in fitted:
             np.bitwise_and(events, 1, out=above, casting="unsafe")
@@ -344,12 +345,13 @@ def _scores_from_counts(counts: np.ndarray) -> EmpiricalScores:
     )
 
 
-def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
+def _above_subsets(fitted, n: int, seed: int, work: np.ndarray) -> np.ndarray:
     """Per positive event, the bit mask of the paths whose object lands above threshold.
 
     Each event draws a non-empty subset S with P(S) ~ prod_in(a) * prod_out(1 - a),
     where a = exp(-lam * threshold) is the path's chance of an object above.
-    Subset s (0-based) has mask s + 1: bit i set means path i is above.
+    Subset s (0-based) has mask s + 1: bit i set means path i is above.  work
+    holds two rows of at least n floats, overwritten.
     """
     if len(fitted) > 20:
         raise ValueError("summed mode enumerates 2^k - 1 subsets; menu too large")
@@ -369,8 +371,26 @@ def _above_subsets(fitted, n: int, seed: int) -> np.ndarray:
             f"(every exp(-lam * threshold) underflows to 0), so no positive event exists"
         )
     weights /= total
-    subset = _substream(seed, "__event__").choice(len(weights), size=n, p=weights)
-    return subset + 1
+    # Generator.choice(len(weights), size=n, p=weights) step for step: the same
+    # cdf, the same uniforms, and the count of cdf entries <= u that its
+    # searchsorted(side="right") finds, here by a branch-free binary search.
+    # len(cdf) is 2^k - 1; with idx the bits decided so far, the next bit is
+    # cdf[(2 idx + 1) step - 1] <= u, element idx of cdf[step - 1 :: 2 step].
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    uniforms, probes = work[:, :n]
+    _substream(seed, "__event__").random(out=uniforms)
+    idx = np.zeros(n, dtype=np.intp)
+    bit = np.empty(n, dtype=bool)
+    step = len(weights) + 1
+    while step > 1:
+        step >>= 1
+        # every index is in range: "clip" only skips the check that buffers `out`
+        np.take(cdf[step - 1 :: 2 * step], idx, out=probes, mode="clip")
+        idx <<= 1
+        idx += np.less_equal(probes, uniforms, out=bit)
+    idx += 1
+    return idx
 
 
 def _add_detections(

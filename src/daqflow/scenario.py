@@ -30,6 +30,7 @@ from .graph import (
     ProcessNode,
     SensorNode,
     propagate_flows,
+    required_channels,
 )
 from .metrics import SystemScore, score_system
 
@@ -356,6 +357,8 @@ def evaluate(
             g = apply_variant(g, skill_only)
 
         assignment = propagate_flows(g)
+        for link in g.links:  # a link no finite channel count can carry fails the scenario
+            required_channels(link, assignment.flows[link.id])
         score = score_system(g, assignment)
         ledger = build_ledger(g, assignment)
         costs = error_costs(g, ledger, assignment)

@@ -101,6 +101,54 @@ def test_trigger_rate_at_an_integer_s(threshold, width, lam):
     assert miss <= 1e-12
 
 
+def _trigger_rate_as_two_sums(path, lam):
+    """trigger_rate as first written: two series over a below-threshold term function.
+
+    Each series is summed by an explicit left-to-right loop, as sum() did
+    up to Python 3.11; from 3.12 sum() of floats is compensated and would
+    round differently.
+    """
+    curve = path.curve
+    a = math.exp(-lam * curve.threshold)
+    c = curve.threshold / curve.width if curve.width else math.inf
+    if c == math.inf:
+        return path.input_rate * curve.plateau * a
+    s = lam * curve.width
+
+    def below_term(k):
+        gap = abs(k - s)
+        if gap == 0.0:
+            return c * a
+        return math.exp(-min(s, k) * c) * -math.expm1(-gap * c) / gap
+
+    def left_to_right(terms):
+        total = 0
+        for term in terms:
+            total += term
+        return total
+
+    weights = tuple(enumerate(calibration._CVZ_WEIGHTS, start=1))
+    above = a * (1.0 - s * left_to_right(w / (s + k) for k, w in weights))
+    below = s * left_to_right(w * below_term(k) for k, w in weights)
+    return path.input_rate * curve.plateau * (above + below)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    threshold=st.floats(1.0, 400.0),
+    width=st.one_of(st.sampled_from([0.0, 1e-310]), st.floats(1e-3, 1000.0)),
+    plateau=st.floats(0.0, 1.0, exclude_min=True),
+    lam=st.floats(*map(math.log10, FIT_BRACKET)).map(lambda log10_lam: 10.0**log10_lam),
+)
+# s = lam * width is an integer, so one below-turn-on term sits at k = s
+@example(threshold=3.0, width=0.5, plateau=1.0, lam=2.0)
+@example(threshold=30.0, width=2.0, plateau=0.95, lam=3.0)
+@example(threshold=300.0, width=900.0, plateau=1.0, lam=10.0)  # s = 9000: every k < s
+def test_trigger_rate_is_its_two_sum_form_bit_for_bit(threshold, width, plateau, lam):
+    path = _sigmoid_path(threshold, width, plateau, rate=1.0)
+    assert trigger_rate(path, lam) == _trigger_rate_as_two_sums(path, lam)
+
+
 def test_near_plateau_rate_and_fit_are_exact():
     # a rate fraction of 0.99945, where a relative miss in the rate is ~160
     # times larger in the fitted lam: a 1e-4 miss there is a percent in lam
@@ -378,6 +426,14 @@ def test_fit_evaluates_each_lam_once(monkeypatch):
         assert len(seen) == len(set(seen)), (path.object_name, seen)
 
 
+def test_the_two_sum_rate_fits_every_bundled_path_to_the_same_lam(monkeypatch):
+    paths = _bundled_paths()
+    assert len(paths) == 10
+    fitted = [fit_lambda(path) for path in paths]
+    monkeypatch.setattr(calibration, "trigger_rate", _trigger_rate_as_two_sums)
+    assert [fit_lambda(path) for path in paths] == fitted
+
+
 def test_trigger_rate_rejects_nonpositive_lam():
     with pytest.raises(ValueError):
         trigger_rate(_sigmoid_path(), 0.0)
@@ -573,6 +629,43 @@ def test_a_12_path_summed_menu_matches_the_reference_atom_for_atom():
     reference = _reference_sample_scores(paths, lams, "summed", 20_000, 314)
     assert _atoms(sampled) == _atoms(reference)
     assert len(sampled[1].values) >= 5
+
+
+# lam * threshold per path: a = exp(-lam * threshold) in (0, 1), underflowing
+# to 0 (no object above) or rounding to 1.0 (every object above, so the
+# subsets without that path weigh 0 and the cdf has ties)
+_lam_thresholds = st.one_of(st.floats(1e-3, 8.0), st.sampled_from([800.0, 1e-20]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lam_thresholds=st.lists(_lam_thresholds, min_size=1, max_size=12),
+    n=st.integers(1, 4000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lam_thresholds=[0.05 * (i + 1) for i in range(20)], n=3000, seed=7)
+@example(lam_thresholds=[1e-20, 800.0, 1e-20], n=500, seed=1)
+def test_above_subsets_are_generator_choice_draws(lam_thresholds, n, seed):
+    # path i: threshold 10 + i GeV, lam = lam_threshold / threshold
+    paths = [_sigmoid_path(threshold=10.0 + i) for i in range(len(lam_thresholds))]
+    fitted = [(path, lt / path.curve.threshold) for path, lt in zip(paths, lam_thresholds)]
+    weights = np.ones(1)  # P(mask m), as the sampler builds it
+    for path, lam in fitted:
+        a = math.exp(-lam * path.curve.threshold)
+        weights = np.concatenate((weights * (1.0 - a), weights * a))
+    weights = weights[1:]
+    if not weights.sum() > 0.0:
+        with pytest.raises(DegeneratePopulationError):
+            calibration._above_subsets(fitted, n, seed, np.empty((2, n)))
+        return
+    weights /= weights.sum()
+    stream = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((seed, zlib.crc32(b"__event__"))))
+    )
+    expected = stream.choice(len(weights), size=n, p=weights) + 1
+    drawn = calibration._above_subsets(fitted, n, seed, np.empty((2, n)))
+    assert drawn.dtype == expected.dtype
+    assert np.array_equal(drawn, expected)
 
 
 def test_summed_menu_with_no_object_above_threshold_is_degenerate():

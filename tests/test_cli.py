@@ -23,6 +23,7 @@ import daqflow
 from daqflow.cli import main
 from daqflow.config import load_config
 from daqflow.energy import build_ledger, energy_balance
+from daqflow.errors import ModelError
 from daqflow.scenario import CSV_COLUMNS, evaluate, sweep
 
 CONFIG_DIR = Path(daqflow.__file__).parent / "configs"
@@ -655,28 +656,47 @@ def test_run_json_payload(full_cfg, tmp_path):
     assert payload["storage_rate_bit_s"] == pytest.approx(out_edge["rate_hz"] * 1000.0)
 
 
-def test_run_json_refuses_a_channel_demand_that_is_not_finite(tmp_path, capsys):
-    # 1e26 bit/s over 1e-291 bit/s lanes overflows the channel count
+# 1e26 bit/s over 1e-291 bit/s lanes overflows the channel count
+_THIN_CFG = (
+    "schema_version: 1\n"
+    "conditions: {pileup: 1}\n"
+    "nodes:\n"
+    '  - {kind: sensor, id: s, sample_size: "1.0e+20 bit", sample_rate: "1 MHz",'
+    " relevant_fraction: 0.5}\n"
+    "  - {kind: output, id: out}\n"
+    "links:\n"
+    '  - {id: thin, source: s, target: out, energy_per_bit: "1 pJ/bit",'
+    ' bandwidth_per_channel: "1.0e-300 Gb/s"}\n'
+)
+_THIN_ERROR = (
+    "link 'thin': channel demand is not finite (1e+26 bit/s over 1e-291 bit/s per channel)"
+)
+
+
+@pytest.mark.parametrize("form", [None, "csv", "json"])
+def test_every_run_format_refuses_a_channel_demand_that_is_not_finite(
+    form, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("DAQFLOW_OUT", raising=False)
     path = tmp_path / "thin.cfg"
-    path.write_text(
-        "schema_version: 1\n"
-        "conditions: {pileup: 1}\n"
-        "nodes:\n"
-        '  - {kind: sensor, id: s, sample_size: "1.0e+20 bit", sample_rate: "1 MHz",'
-        " relevant_fraction: 0.5}\n"
-        "  - {kind: output, id: out}\n"
-        "links:\n"
-        '  - {id: thin, source: s, target: out, energy_per_bit: "1 pJ/bit",'
-        ' bandwidth_per_channel: "1.0e-300 Gb/s"}\n'
-    )
-    out = tmp_path / "row.json"
-    assert main(["run", str(path), "--format", "json", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "error: link 'thin': channel demand is not finite"
-        " (1e+26 bit/s over 1e-291 bit/s per channel)"
-    ]
-    assert not out.exists()
+    path.write_text(_THIN_CFG)
+    out = tmp_path / "row.out"
+    written = [] if form is None else ["--format", form, "--out", str(out)]
+    assert main(["run", str(path), *written]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {_THIN_ERROR}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["thin.cfg"]
+    with pytest.raises(ModelError, match=re.escape(_THIN_ERROR)):
+        evaluate(load_config(path))
+
+
+def test_a_sweep_point_whose_channel_demand_is_not_finite_carries_the_error(tmp_path):
+    path = tmp_path / "thin.cfg"
+    path.write_text(_THIN_CFG + "sweep: {pileup: [1, 2]}\n")
+    rows = sweep(load_config(path))
+    assert [row.error for row in rows] == [f"ModelError: {_THIN_ERROR}"] * 2
+    assert all(row.power_w is None for row in rows)
 
 
 def test_seeded_runs_are_reproducible(full_cfg, tmp_path):
