@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, DaqflowError, ModelWarning
-from .graph import PipelineGraph, required_channels, validate_graph
+from .graph import PipelineGraph, validate_graph
 from .scenario import EvaluationResult, ResultRow, evaluate, sweep
 
 __all__ = ["main"]
@@ -199,7 +199,7 @@ def _run_json(result: EvaluationResult, cfg_path: str) -> dict:
                 "n_true_hz": flow.n_true,
                 "n_false_hz": flow.n_false,
                 "power_w": assignment.link_powers[link.id],
-                "required_channels": required_channels(link, flow),
+                "required_channels": result.channels[link.id],
             }
         )
     nodes = []

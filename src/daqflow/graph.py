@@ -20,7 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -147,12 +148,10 @@ class MessageFlow:
             )
 
 
-def _kahn_order(ids: Iterable[str], links: Iterable[CommLink], links_out: Mapping) -> list[str]:
+def _kahn_order(graph: PipelineGraph) -> list[str]:
     """Kahn's algorithm, ties broken by node id; short if a cycle or missing node blocks it."""
-    indegree = dict.fromkeys(ids, 0)
-    for link in links:
-        if link.target in indegree:
-            indegree[link.target] += 1
+    links_in, links_out = graph._in, graph._out
+    indegree = {nid: len(links_in.get(nid, ())) for nid in graph._by_id}
     ready = [nid for nid, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -169,7 +168,7 @@ def _kahn_order(ids: Iterable[str], links: Iterable[CommLink], links_out: Mappin
 
 @dataclass(frozen=True)
 class PipelineGraph:
-    """Nodes and links, indexed once at construction.
+    """Nodes and links, with an index built map by map on first read.
 
     The index holds the id -> node map, each endpoint's in/out links (in
     `links` order) and the topological order (None if cyclic).  Construction
@@ -178,24 +177,29 @@ class PipelineGraph:
 
     nodes: tuple[Node, ...]
     links: tuple[CommLink, ...]
-    _by_id: Mapping[str, Node] = field(init=False, compare=False, repr=False)
-    _in: Mapping[str, tuple[CommLink, ...]] = field(init=False, compare=False, repr=False)
-    _out: Mapping[str, tuple[CommLink, ...]] = field(init=False, compare=False, repr=False)
-    _order: tuple[str, ...] | None = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def _by_id(self) -> Mapping[str, Node]:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _in(self) -> Mapping[str, tuple[CommLink, ...]]:
         incoming: dict[str, list[CommLink]] = defaultdict(list)
-        outgoing: dict[str, list[CommLink]] = defaultdict(list)
         for link in self.links:
             incoming[link.target].append(link)
+        return {nid: tuple(ls) for nid, ls in incoming.items()}
+
+    @cached_property
+    def _out(self) -> Mapping[str, tuple[CommLink, ...]]:
+        outgoing: dict[str, list[CommLink]] = defaultdict(list)
+        for link in self.links:
             outgoing[link.source].append(link)
-        by_id = {n.id: n for n in self.nodes}
-        links_out = {nid: tuple(ls) for nid, ls in outgoing.items()}
-        order = _kahn_order(by_id, self.links, links_out)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_in", {nid: tuple(ls) for nid, ls in incoming.items()})
-        object.__setattr__(self, "_out", links_out)
-        object.__setattr__(self, "_order", tuple(order) if len(order) == len(self.nodes) else None)
+        return {nid: tuple(ls) for nid, ls in outgoing.items()}
+
+    @cached_property
+    def _order(self) -> tuple[str, ...] | None:
+        order = _kahn_order(self)
+        return tuple(order) if len(order) == len(self.nodes) else None
 
     def node(self, node_id: str) -> Node:
         try:
@@ -222,7 +226,7 @@ class PipelineGraph:
         return matches[0] if matches else None
 
     def topological_order(self) -> tuple[str, ...]:
-        """Kahn order with the node-id tie-break, computed at construction."""
+        """Kahn order with the node-id tie-break, computed on first read."""
         if self._order is None:
             raise GraphValidationError("graph contains a cycle")
         return self._order

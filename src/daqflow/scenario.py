@@ -18,6 +18,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 from .classifier import apply_skill
 from .energy import ErrorCosts, build_ledger, error_costs
@@ -234,56 +235,42 @@ def apply_era(graph: PipelineGraph, era: TechnologyEra) -> PipelineGraph:
 
 
 def apply_variant(graph: PipelineGraph, variants: VariantConfig) -> PipelineGraph:
-    """Apply the enabled upgrade variants.
+    """Apply the enabled upgrade variants in one rewrite of the graph.
 
-    Each variant touches its own role's attributes, so enabled variants
+    Each variant replaces the node of its own role, so enabled variants
     commute; they are applied in a fixed order regardless.
     """
-    g = graph
+    replaced: dict = {}  # node id -> replacement node
     if variants.gpu_hlt.enabled:
         v = variants.gpu_hlt
-        node = _require_role(g, "hlt", "gpu_hlt variant")
+        node = _require_role(graph, "hlt", "gpu_hlt variant")
         if not isinstance(node, ProcessNode) or node.unit_power_w is None:
             raise ModelError("gpu_hlt variant needs an hlt process node with unit_power_w set")
         # same op count finishes (1 + gain) times faster on a device drawing
         # unit_power_w, so the effective energy per op rescales
         energy_scale = (v.unit_power_w / node.unit_power_w) / (1.0 + v.throughput_gain)
-        g = _replace_node(
-            g,
-            node.id,
-            replace(
-                node,
-                energy_per_op=node.energy_per_op * energy_scale,
-                unit_power_w=v.unit_power_w,
-            ),
+        replaced[node.id] = replace(
+            node, energy_per_op=node.energy_per_op * energy_scale, unit_power_w=v.unit_power_w
         )
     if variants.l1_tracks.enabled:
         v = variants.l1_tracks
-        node = _require_role(g, "l1t", "l1_tracks variant")
+        node = _require_role(graph, "l1t", "l1_tracks variant")
         if not isinstance(node, ProcessNode) or node.classifier is None:
             raise ModelError("l1_tracks variant needs a classifying l1t node")
-        g = _replace_node(
-            g, node.id, replace(node, classifier=apply_skill(node.classifier, v.skill_factor))
-        )
+        replaced[node.id] = replace(node, classifier=apply_skill(node.classifier, v.skill_factor))
     if variants.smart_pixels.enabled:
         v = variants.smart_pixels
-        node = _require_role(g, "inner_tracker", "smart_pixels variant")
+        node = _require_role(graph, "inner_tracker", "smart_pixels variant")
         if not isinstance(node, SensorNode):
             raise ModelError("smart_pixels variant needs an inner_tracker sensor")
-        g = _replace_node(
-            g,
-            node.id,
-            replace(
-                node,
-                sample_size=node.sample_size * (1.0 - v.data_reduction),
-                constant_power_w=node.constant_power_w + v.detector_power_w,
-            ),
+        replaced[node.id] = replace(
+            node,
+            sample_size=node.sample_size * (1.0 - v.data_reduction),
+            constant_power_w=node.constant_power_w + v.detector_power_w,
         )
-    return g
-
-
-def _replace_node(graph: PipelineGraph, node_id: str, new_node) -> PipelineGraph:
-    nodes = tuple(new_node if n.id == node_id else n for n in graph.nodes)
+    if not replaced:
+        return graph
+    nodes = tuple(replaced.get(n.id, n) for n in graph.nodes)
     return PipelineGraph(nodes=nodes, links=graph.links)
 
 
@@ -315,6 +302,7 @@ class EvaluationResult:
     score: SystemScore
     costs: ErrorCosts
     row: ResultRow
+    channels: MappingProxyType  # link id -> channels needed to carry its flow
 
 
 def _effective_seed(cfg, seed: int | None) -> int:
@@ -357,8 +345,9 @@ def evaluate(
             g = apply_variant(g, skill_only)
 
         assignment = propagate_flows(g)
-        for link in g.links:  # a link no finite channel count can carry fails the scenario
-            required_channels(link, assignment.flows[link.id])
+        flows = assignment.flows
+        # a link no finite channel count can carry fails the scenario
+        channels = MappingProxyType({l.id: required_channels(l, flows[l.id]) for l in g.links})
         score = score_system(g, assignment)
         ledger = build_ledger(g, assignment)
         costs = error_costs(g, ledger, assignment)
@@ -385,7 +374,7 @@ def evaluate(
     for name, value in row.as_dict().items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ModelError(f"scenario result {name} is not finite ({value!r})")
-    return EvaluationResult(graph=g, assignment=assignment, score=score, costs=costs, row=row)
+    return EvaluationResult(g, assignment, score, costs, row, channels)
 
 
 def _sweep_point(args) -> ResultRow:

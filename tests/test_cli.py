@@ -564,6 +564,21 @@ def test_commands_import_only_what_they_run():
     assert _fresh_python(probe) == "[0, 0] []"
 
 
+def test_cli_and_a_numeric_run_load_no_exact_arithmetic():
+    # only a ratio string such as "160/3" needs `fractions` (and the `decimal`
+    # it imports); cms_run3.cfg writes its reductions as numbers
+    probe = (
+        "import contextlib, io, sys\n"
+        "from daqflow import cli\n"
+        "exact = ('fractions', 'decimal')\n"
+        "after_import = [m for m in exact if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['run', {str(CONFIG_DIR / 'cms_run3.cfg')!r}])\n"
+        "print(after_import, code, [m for m in exact if m in sys.modules])"
+    )
+    assert _fresh_python(probe) == "[] 0 []"
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # the reader goes away before the first line: `daqflow run ... | true`
     src = str(Path(daqflow.__file__).resolve().parents[1])

@@ -2,7 +2,7 @@
 
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -229,15 +229,30 @@ def test_index_matches_brute_force_on_shuffled_random_graphs():
 
 def test_graphs_pickle_and_compare_by_nodes_and_links_only():
     g = _chain_graph()
+    assert [f.name for f in fields(PipelineGraph)] == ["nodes", "links"]
     twin = PipelineGraph(nodes=g.nodes, links=g.links)
     assert twin == g
+    assert hash(twin) == hash(g)
     assert repr(twin) == repr(g)
     assert repr(g) == f"PipelineGraph(nodes={g.nodes!r}, links={g.links!r})"
 
-    restored = pickle.loads(pickle.dumps(g))
-    assert restored == g
-    assert restored.topological_order() == g.topological_order() == ("sen", "proc", "out")
-    assert restored.links_in("out") == g.links_in("out")
+    # the index is built on first read; a graph pickled before that and one
+    # pickled after both restore to the same graph and index
+    cold = pickle.dumps(g)
+    assert g.topological_order() == ("sen", "proc", "out")
+    warm = pickle.dumps(g)
+    for restored in (pickle.loads(cold), pickle.loads(warm)):
+        assert restored == twin
+        assert restored.topological_order() == g.topological_order()
+        assert restored.links_in("out") == g.links_in("out") == (g.links[1],)
+
+    # a replaced graph indexes its own links, not the indexed original's
+    bypass = _link("l2", "sen", "out")
+    rewired = replace(g, links=(bypass,))
+    assert rewired.links_in("out") == (bypass,)
+    assert rewired.links_in("proc") == ()
+    assert rewired.topological_order() == ("proc", "sen", "out")
+    assert g.links_in("out") == (g.links[1],)
 
 
 def test_default_sensors_share_one_constant_scaling():

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from daqflow import scenario
+from daqflow import graph, scenario
 from daqflow.calibration import EfficiencyCurve, TriggerPath
-from daqflow.config import parse_config
+from daqflow.config import load_config, parse_config
 from daqflow.errors import ConfigError, ModelError, ModelWarning
 from daqflow.functions import ConstantFn, TableScaling
 from daqflow.graph import (
@@ -17,6 +17,7 @@ from daqflow.graph import (
     PipelineGraph,
     ProcessNode,
     SensorNode,
+    required_channels,
 )
 from daqflow.scenario import (
     CSV_COLUMNS,
@@ -232,6 +233,34 @@ def test_variants_commute(load_fixture):
     # the combined config equals the sequence of singles
     combo = cfg.variants.with_enabled(("gpu_hlt", "l1_tracks", "smart_pixels"))
     assert apply_variant(base, combo) == abc
+
+
+def test_each_evaluation_indexes_one_graph(load_fixture, monkeypatch):
+    # build_graph, the conditions, the era and the variants each return a
+    # graph, but only the one evaluate propagates builds its index
+    kahn = graph._kahn_order
+    calls = []
+    monkeypatch.setattr(graph, "_kahn_order", lambda *args: calls.append(1) or kahn(*args))
+    rows = [row for table in load_fixture("cms_tables").report.tables for row in table.rows]
+    per_evaluate = []
+    for row in rows:
+        cfg = load_config(row.config_path)
+        for skill in (None, 1.2):
+            calls.clear()
+            evaluate(cfg, skill=skill)
+            per_evaluate.append(len(calls))
+    assert per_evaluate == [1] * 2 * len(rows)
+
+
+def test_an_evaluation_keeps_each_links_channel_count(eval_fixture):
+    result = eval_fixture("cms_run3")
+    flows = result.assignment.flows
+    assert dict(result.channels) == {
+        link.id: required_channels(link, flows[link.id]) for link in result.graph.links
+    }
+    assert all(type(n) is int for n in result.channels.values())
+    with pytest.raises(TypeError):
+        result.channels["any link"] = 0
 
 
 def test_variants_require_their_roles():

@@ -1,5 +1,7 @@
 """Quantity parsing: unit tables, rejection rules, ratio forms."""
 
+import math
+
 import pytest
 
 from daqflow.units import UnitError, parse_quantity, parse_ratio
@@ -61,6 +63,11 @@ def test_parse_ratio_forms():
     assert parse_ratio("160/3") == pytest.approx(160.0 / 3.0, rel=1e-15)
     assert parse_ratio("400:1") == 400.0
     assert parse_ratio(" 3/2 ") == 1.5
+    # exact arithmetic rounds a fraction once; a decimal string is read as it
+    # was through Fraction, "-0" included
+    assert parse_ratio("160/3") == 160 / 3
+    assert parse_ratio("2.5e2") == 250.0
+    assert math.copysign(1.0, parse_ratio("-0")) == 1.0
 
 
 def test_parse_ratio_rejections():
@@ -70,5 +77,8 @@ def test_parse_ratio_rejections():
         parse_ratio("1/0")
     with pytest.raises(UnitError):
         parse_ratio("a/b")
+    for text in ("inf", "nan", "1e400", "x", "1:2:3"):
+        with pytest.raises(UnitError, match="malformed ratio"):
+            parse_ratio(text)
     with pytest.raises(UnitError):
         parse_ratio(object())
