@@ -374,7 +374,9 @@ def evaluate(
     for name, value in row.as_dict().items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ModelError(f"scenario result {name} is not finite ({value!r})")
-    return EvaluationResult(g, assignment, score, costs, row, channels)
+    return EvaluationResult(
+        graph=g, assignment=assignment, score=score, costs=costs, row=row, channels=channels
+    )
 
 
 def _sweep_point(args) -> ResultRow:

@@ -10,7 +10,6 @@ slip through as a silently-wrong scale.
 
 from __future__ import annotations
 
-import math
 import re
 
 __all__ = ["UnitError", "parse_quantity", "parse_ratio", "KINDS"]
@@ -100,21 +99,19 @@ def parse_quantity(value: object, kind: str) -> float:
 def parse_ratio(value: object) -> float:
     """Parse a dimensionless ratio.
 
-    Accepts numbers, decimal strings, fraction strings ("160/3") and colon
-    ratios ("400:1").  Fractions are evaluated exactly and rounded once at
-    the final float conversion; only they load `fractions`.
+    Accepts numbers, fraction strings ("160/3"), and colon ratios ("400:1").
+    Fractions are evaluated exactly and rounded once at the final float
+    conversion.
     """
     if isinstance(value, bool):
         raise UnitError(f"expected a ratio, got {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
+        from fractions import Fraction  # only a ratio string loads fractions
+
         text = value.strip()
         try:
-            if "/" not in text and ":" not in text and math.isfinite(float(text)):
-                return float(text) + 0.0  # "-0" reads as 0.0, as Fraction reads it
-            from fractions import Fraction  # only a ratio string needs exact arithmetic
-
             if ":" in text:
                 num, den = text.split(":")
                 return float(Fraction(num.strip()) / Fraction(den.strip()))

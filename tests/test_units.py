@@ -63,8 +63,8 @@ def test_parse_ratio_forms():
     assert parse_ratio("160/3") == pytest.approx(160.0 / 3.0, rel=1e-15)
     assert parse_ratio("400:1") == 400.0
     assert parse_ratio(" 3/2 ") == 1.5
-    # exact arithmetic rounds a fraction once; a decimal string is read as it
-    # was through Fraction, "-0" included
+    # exact arithmetic rounds a fraction once; every string goes through
+    # Fraction, so "-0" reads as 0.0
     assert parse_ratio("160/3") == 160 / 3
     assert parse_ratio("2.5e2") == 250.0
     assert math.copysign(1.0, parse_ratio("-0")) == 1.0
