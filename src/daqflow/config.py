@@ -19,6 +19,11 @@ A file may name a single parent via `extends:`; the child's sections are
 deep-merged over the parent's (scalars and lists replace, mappings merge).
 Parents may not themselves extend.
 
+Read once: _read_text opens a config or parent once, as UTF-8, with no stat
+or path resolution first, and ends any failure as one ConfigError.  So a
+parent reached through a symlink keeps the name the child wrote: its located
+errors and memo key name the link, not its target.
+
 Parse once: an `extends` parent's line-stamped data is memoised
 (_parsed_parent) under its text and name, of which _load_yaml is a pure
 function, so an edited parent is never served stale and nothing needs
@@ -698,6 +703,21 @@ def _build_config(
     return _CONFIG.build(**kwargs, classifier_refs=dict(refs), source_path=source)
 
 
+def _read_text(path: Path, missing: str, unreadable: str) -> str:
+    """The file's text as UTF-8 (YAML's encoding); `missing` or `unreadable` if it has none."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(missing) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{unreadable}: not UTF-8 (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+    except OSError as exc:
+        raise ConfigError(f"{unreadable}: {exc.strerror or type(exc).__name__}") from None
+
+
 def _resolve_extends(data: dict, base_dir: Path | None, filename: str):
     """(the merged data, the parent's _parsed_parent entry or None)."""
     ref = data.pop("extends", None)
@@ -707,10 +727,10 @@ def _resolve_extends(data: dict, base_dir: Path | None, filename: str):
         raise ConfigError(f"{filename}: extends must be a path string, got {ref!r}")
     if base_dir is None:
         raise ConfigError(f"{filename}: extends needs a file-based config to resolve against")
-    parent_path = (base_dir / ref).resolve()
-    if not parent_path.is_file():
-        raise ConfigError(f"{filename}: extended config not found: {ref}")
-    parent = _parsed_parent(parent_path.read_text(), parent_path.name)
+    parent_path = base_dir / ref
+    missing = f"{filename}: extended config not found: {ref}"
+    text = _read_text(parent_path, missing, f"{filename}: cannot read extended config {ref}")
+    parent = _parsed_parent(text, parent_path.name)
     if "extends" in parent[0]:
         raise ConfigError(
             f"{filename}: extends chains are limited to one level, "
@@ -722,9 +742,8 @@ def _resolve_extends(data: dict, base_dir: Path | None, filename: str):
 def load_config(path) -> ModelConfig:
     """Parse a .cfg file into a ModelConfig, resolving a single extends level."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    data, parent = _resolve_extends(_load_yaml(p.read_text(), p.name), p.parent, p.name)
+    text = _read_text(p, f"config file not found: {path}", f"cannot read config file {path}")
+    data, parent = _resolve_extends(_load_yaml(text, p.name), p.parent, p.name)
     return _build_config(data, base_dir=p.parent, source=str(p), parent=parent)
 
 

@@ -149,21 +149,31 @@ class MessageFlow:
 
 
 def _kahn_order(graph: PipelineGraph) -> list[str]:
-    """Kahn's algorithm, ties broken by node id; short if a cycle or missing node blocks it."""
+    """Kahn's algorithm, ties broken by node id; short if a cycle or missing node blocks it.
+
+    Only nodes that become ready later go through a heap; each step takes the
+    smaller of its head and that of the sorted, initially ready ids.
+    """
     links_in, links_out = graph._in, graph._out
     indegree = {nid: len(links_in.get(nid, ())) for nid in graph._by_id}
-    ready = [nid for nid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
+    initial = sorted(nid for nid, deg in indegree.items() if deg == 0)
+    later: list[str] = []
     order: list[str] = []
-    while ready:
-        nid = heapq.heappop(ready)
+    i, n = 0, len(initial)
+    while True:
+        if later and (i == n or later[0] < initial[i]):
+            nid = heapq.heappop(later)
+        elif i < n:
+            nid = initial[i]
+            i += 1
+        else:
+            return order
         order.append(nid)
         for link in links_out.get(nid, ()):
             if link.target in indegree:
                 indegree[link.target] -= 1
                 if indegree[link.target] == 0:
-                    heapq.heappush(ready, link.target)
-    return order
+                    heapq.heappush(later, link.target)
 
 
 @dataclass(frozen=True)
@@ -191,10 +201,17 @@ class PipelineGraph:
 
     @cached_property
     def _out(self) -> Mapping[str, tuple[CommLink, ...]]:
-        outgoing: dict[str, list[CommLink]] = defaultdict(list)
+        # most sources feed one link: a list only for the links after a source's first
+        outgoing: dict[str, tuple[CommLink, ...]] = {}
+        more: dict[str, list[CommLink]] = defaultdict(list)
         for link in self.links:
-            outgoing[link.source].append(link)
-        return {nid: tuple(ls) for nid, ls in outgoing.items()}
+            if link.source in outgoing:
+                more[link.source].append(link)
+            else:
+                outgoing[link.source] = (link,)
+        for nid, ls in more.items():
+            outgoing[nid] += tuple(ls)
+        return outgoing
 
     @cached_property
     def _order(self) -> tuple[str, ...] | None:
@@ -262,11 +279,12 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
     if len(by_id) < len(graph.nodes):  # the index keeps one node per id
         dupes = _duplicates(n.id for n in graph.nodes)
         return ValidationReport((f"duplicate node ids: {', '.join(dupes)}",))
-    dupes = _duplicates(l.id for l in graph.links)
-    if dupes:
-        v.append(f"duplicate link ids: {', '.join(dupes)}")
-    for role in _duplicates(n.role for n in graph.nodes if getattr(n, "role", None) is not None):
-        v.append(f"role {role!r} is assigned to multiple nodes")
+    # a Counter only when the set sizes show a duplicate
+    if len({l.id for l in graph.links}) < len(graph.links):
+        v.append(f"duplicate link ids: {', '.join(_duplicates(l.id for l in graph.links))}")
+    roles = [n.role for n in graph.nodes if getattr(n, "role", None) is not None]
+    if len(set(roles)) < len(roles):
+        v.extend(f"role {role!r} is assigned to multiple nodes" for role in _duplicates(roles))
 
     dangling = False
     for link in graph.links:
@@ -377,7 +395,8 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
     survivors into true/false populations follows the solved confusion
     matrix.  Raises OperatingPointError (naming the node) when a classifier
     cannot reach its target, FlowConsistencyError on fan-in rate mismatch,
-    and ModelError (naming the node) when a cost function fails arithmetically.
+    and ModelError (naming the exception type, the cost function, its input
+    and the node) when a cost function fails arithmetically.
     """
     report = validate_graph(graph)
     if not report.ok:
@@ -405,11 +424,15 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
         elif isinstance(node, ProcessNode):
             merged = _merge_incoming(nid, [flows[l.id] for l in links_in[nid]])
             node_inputs[nid] = merged
+            label = "complexity"
             try:
                 ops = node.complexity(merged.size)
+                label = "output_size"
                 out_size = node.output_size(merged.size)
             except ArithmeticError as exc:
-                raise ModelError(f"{type(exc).__name__}: {exc} (node {nid!r})") from exc
+                # not str(exc): a float overflow words it as the C library's errno text
+                what = f"{label} at an input of {merged.size:.6g} bits (node {nid!r})"
+                raise ModelError(f"{type(exc).__name__}: {what}") from exc
             node_powers[nid] = merged.rate * ops * node.energy_per_op + node.constant_power_w
             if node.classifier is not None:
                 try:

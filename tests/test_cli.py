@@ -228,6 +228,20 @@ def test_a_config_of_the_wrong_shape_exits_2(tmp_path, capsys, text, message):
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
 
+@pytest.mark.parametrize("via_extends", [False, True], ids=["config", "extends_parent"])
+def test_an_undecodable_config_exits_2(tmp_path, capsys, via_extends):
+    path = tmp_path / "bytes.cfg"
+    path.write_bytes(b"\xff")
+    cause = "not UTF-8 (byte 0xff at offset 0)"
+    message = f"cannot read config file {path}: {cause}"
+    if via_extends:
+        path = tmp_path / "child.cfg"
+        path.write_text("extends: bytes.cfg\n")
+        message = f"child.cfg: cannot read extended config bytes.cfg: {cause}"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
 @pytest.mark.parametrize(
     "override, problem",
     [

@@ -294,6 +294,44 @@ def test_extends_chains_are_rejected(tmp_path):
         load_config(load_config_text)
 
 
+@pytest.mark.parametrize(
+    "kind, cause",
+    [("undecodable", "not UTF-8 (byte 0xff at offset 20)"), ("directory", "")],
+)
+def test_an_unreadable_config_or_parent_is_one_config_error(tmp_path, kind, cause):
+    bad = tmp_path / "bad.cfg"
+    if kind == "undecodable":
+        bad.write_bytes(b"schema_version: 1\n# \xff\n")
+    else:
+        bad.mkdir()
+    (tmp_path / "child.cfg").write_text("extends: bad.cfg\n")
+    for path, prefix in (
+        (bad, f"cannot read config file {bad}: "),
+        (tmp_path / "child.cfg", "child.cfg: cannot read extended config bad.cfg: "),
+    ):
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(prefix + cause)
+        assert "\n" not in str(info.value) and info.value.__cause__ is None
+
+
+def test_a_parent_reached_through_a_symlink_keeps_the_name_the_child_wrote(tmp_path):
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "parent.cfg").write_text(MINIMAL)
+    (tmp_path / "alias.cfg").symlink_to(real / "parent.cfg")
+    (tmp_path / "via_alias.cfg").write_text("extends: alias.cfg\ndescription: child\n")
+    (tmp_path / "via_real.cfg").write_text("extends: real/parent.cfg\ndescription: child\n")
+    assert load_config(tmp_path / "via_alias.cfg") == load_config(tmp_path / "via_real.cfg")
+
+    # a located error inside the parent names the file as the child wrote it
+    (real / "parent.cfg").write_text(MINIMAL.replace('sample_rate: "1 kHz"', 'sample_rate: "1 kb"'))
+    for child, name in (("via_alias.cfg", "alias.cfg"), ("via_real.cfg", "parent.cfg")):
+        with pytest.raises(ConfigError) as info:
+            load_config(tmp_path / child)
+        assert [loc for loc, _ in info.value.locations] == [f"{name}:4"]
+
+
 def test_extends_in_text_needs_a_base_dir():
     with pytest.raises(ConfigError, match="<config>: extends needs a file-based config"):
         parse_config("extends: cms_base.cfg\n" + MINIMAL)

@@ -68,6 +68,16 @@ def test_chain_propagation_by_hand():
     assert a.total_power == pytest.approx(sum(a.node_powers.values()) + sum(a.link_powers.values()))
 
 
+def test_a_cost_overflow_names_the_function_its_input_and_the_node():
+    g = _chain_graph()
+    steep = PowerLawFn(exponent=400.0, value_at_reference=1.0, reference=1.0)
+    for label in ("complexity", "output_size"):
+        proc = replace(g.nodes[1], **{label: steep})
+        message = rf"^OverflowError: {label} at an input of 1000 bits \(node 'proc'\)$"
+        with pytest.raises(ModelError, match=message):
+            propagate_flows(replace(g, nodes=(g.nodes[0], proc, g.nodes[2])))
+
+
 def test_synchronized_fan_in_concatenates_fragments():
     g = PipelineGraph(
         nodes=(
@@ -227,6 +237,20 @@ def test_index_matches_brute_force_on_shuffled_random_graphs():
         assert g.topological_order() == _reference_order(g)
 
 
+def test_a_node_ready_later_sorts_between_the_initially_ready_ones():
+    # b becomes ready after a and sorts before the still-waiting sensors c and e
+    sensors = {nid: SensorNode(id=nid, sample_size=1.0, sample_rate=1e6) for nid in "ace"}
+    proc = ProcessNode(
+        id="b", complexity=ConstantFn(1.0), energy_per_op=1e-12, output_size=LinearFn(slope=1.0)
+    )
+    g = PipelineGraph(
+        nodes=(sensors["e"], proc, OutputNode(id="f"), sensors["c"], sensors["a"]),
+        links=(_link("l0", "a", "b"), _link("l1", "b", "f"), _link("l2", "c", "f"),
+               _link("l3", "e", "f")),
+    )
+    assert g.topological_order() == _reference_order(g) == ("a", "b", "c", "e", "f")
+
+
 def test_graphs_pickle_and_compare_by_nodes_and_links_only():
     g = _chain_graph()
     assert [f.name for f in fields(PipelineGraph)] == ["nodes", "links"]
@@ -315,6 +339,22 @@ def test_validation_catalog():
     assert validate_graph(two_l1t).violations == ("role 'l1t' is assigned to multiple nodes",)
 
     s2 = SensorNode(id="s2", sample_size=1.0, sample_rate=1e6)
+    twice_named = PipelineGraph(
+        nodes=(
+            replace(sen, role="det"), replace(s2, role="det"),
+            replace(proc, role="l1t"), replace(p2, role="l1t"), out,
+        ),
+        links=(
+            _link("a", "sen", "proc"), _link("a", "s2", "proc"),
+            _link("b", "proc", "p2"), _link("b", "p2", "out"),
+        ),
+    )
+    assert validate_graph(twice_named).violations == (
+        "duplicate link ids: a, b",
+        "role 'det' is assigned to multiple nodes",
+        "role 'l1t' is assigned to multiple nodes",
+    )
+
     into_sensor = PipelineGraph(
         nodes=(s2, sen, out),
         links=(_link("a", "s2", "sen"), _link("b", "sen", "out")),
