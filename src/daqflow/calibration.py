@@ -43,12 +43,23 @@ failed fit or sample raises again on every call, since nothing is stored
 for it.  `fit_lambda` and `sample_scores` themselves never consult the
 memos.  `clear_caches()` empties both, for a caller that patches this
 module's functions and needs its next build to see the patch.
+
+`sample_scores` keeps its large arrays per thread: the two float work rows,
+the intp row of subset masks and the two int8 score rows, ~26 bytes per
+sample (1.3 MB at n = 50,000).  Each call reuses the arrays of the
+thread's last call while n stays the same, since fresh arrays that size
+cost page faults on every call; a call still allocates one-byte rows, small
+enough for the heap to reuse.  Every row is overwritten or zeroed before it
+is read, so a call after a failed one, or at another n, samples as a first
+call does.  `clear_caches()` frees the calling thread's scratch as well.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -315,11 +326,10 @@ def sample_scores(
             raise ValueError(f"path {path.object_name!r}: lam must be finite and > 0, got {lam}")
     import numpy as np
 
-    scores = np.zeros((2, n), dtype=np.int8)  # per sample, its paths' detections (k <= 20)
-    # scratch rows every path overwrites: fresh n-sized arrays per path cost page faults
-    work = np.empty((2, n))
+    work, events, scores = _scratch_for(n)
+    scores.fill(0)  # per sample, its paths' detections (k <= 20)
     if mode == "summed":
-        events = _above_subsets(fitted, n, seed, work)
+        _above_subsets(fitted, seed, work, events)
         above = np.empty(n, dtype=np.int8)
         for path, lam in fitted:
             np.bitwise_and(events, 1, out=above, casting="unsafe")
@@ -331,27 +341,47 @@ def sample_scores(
             _add_detections(path, lam, seed, 1, share, work)
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    negative, positive = (_scores_from_counts(np.bincount(score)) for score in scores)
+    negative, positive = (_scores_from_counts(_atom_counts(score)) for score in scores)
     return negative, positive
 
 
-def _scores_from_counts(counts: np.ndarray) -> EmpiricalScores:
-    # counts[s] samples scored s; EmpiricalScores keeps the scores that occur
+# per thread, the arrays of its last sample_scores call; see the module notes
+_scratch = threading.local()
+
+
+def _scratch_for(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's sampling scratch for n samples: two float rows, an intp row, two int8 rows."""
     import numpy as np
 
-    values = np.flatnonzero(counts)
+    held = getattr(_scratch, "arrays", None)
+    if held is None or len(held[1]) != n:
+        held = _scratch.arrays = (np.empty((2, n)), np.empty(n, np.intp), np.empty((2, n), np.int8))
+    return held
+
+
+def _atom_counts(row: np.ndarray) -> list[int]:
+    # np.bincount(row) of an int8 row of scores 0..k, without its n-sized intp copy of the row
+    import numpy as np
+
+    return [int(np.count_nonzero(row == score)) for score in range(int(row.max(initial=0)) + 1)]
+
+
+def _scores_from_counts(counts: list[int]) -> EmpiricalScores:
+    # counts[s] samples scored s; EmpiricalScores keeps the scores that occur
+    values = [score for score, count in enumerate(counts) if count]
     return EmpiricalScores(
-        tuple(values.astype(float).tolist()), tuple(np.cumsum(counts[values]).tolist())
+        tuple(map(float, values)), tuple(itertools.accumulate(counts[v] for v in values))
     )
 
 
-def _above_subsets(fitted, n: int, seed: int, work: np.ndarray) -> np.ndarray:
+def _above_subsets(fitted, seed: int, work: np.ndarray, events: np.ndarray) -> np.ndarray:
     """Per positive event, the bit mask of the paths whose object lands above threshold.
 
     Each event draws a non-empty subset S with P(S) ~ prod_in(a) * prod_out(1 - a),
     where a = exp(-lam * threshold) is the path's chance of an object above.
-    Subset s (0-based) has mask s + 1: bit i set means path i is above.  work
-    holds two rows of at least n floats, overwritten.
+    Subset s (0-based) has mask s + 1: bit i set means path i is above.  The
+    masks overwrite and return the intp row events, one per event; work
+    holds two rows of at least n = len(events) floats, overwritten.
     """
     if len(fitted) > 20:
         raise ValueError("summed mode enumerates 2^k - 1 subsets; menu too large")
@@ -378,9 +408,11 @@ def _above_subsets(fitted, n: int, seed: int, work: np.ndarray) -> np.ndarray:
     # cdf[(2 idx + 1) step - 1] <= u, element idx of cdf[step - 1 :: 2 step].
     cdf = weights.cumsum()
     cdf /= cdf[-1]
+    n = len(events)
     uniforms, probes = work[:, :n]
     _substream(seed, "__event__").random(out=uniforms)
-    idx = np.zeros(n, dtype=np.intp)
+    idx = events
+    idx.fill(0)
     bit = np.empty(n, dtype=bool)
     step = len(weights) + 1
     while step > 1:
@@ -465,6 +497,11 @@ def _built_menu(menu: MenuSpec, seed: int) -> ClassifierModel:
 
 
 def clear_caches() -> None:
-    """Empty both calibration memos: fitted lam per path and model per (menu, seed)."""
+    """Empty both memos (lam per path, model per (menu, seed)) and this thread's scratch.
+
+    The scratch is the ~26 bytes per sample (1.3 MB at n = 50,000) that
+    `sample_scores` keeps for its last n.
+    """
     _fitted_lambda.cache_clear()
     _built_menu.cache_clear()
+    vars(_scratch).clear()

@@ -11,7 +11,10 @@ checked against the curve.
 """
 
 import math
+import sys
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -637,6 +640,11 @@ def test_a_12_path_summed_menu_matches_the_reference_atom_for_atom():
 _lam_thresholds = st.one_of(st.floats(1e-3, 8.0), st.sampled_from([800.0, 1e-20]))
 
 
+def _subset_scratch(n):
+    # work rows, and the events row the masks overwrite
+    return np.empty((2, n)), np.empty(n, dtype=np.intp)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     lam_thresholds=st.lists(_lam_thresholds, min_size=1, max_size=12),
@@ -656,14 +664,14 @@ def test_above_subsets_are_generator_choice_draws(lam_thresholds, n, seed):
     weights = weights[1:]
     if not weights.sum() > 0.0:
         with pytest.raises(DegeneratePopulationError):
-            calibration._above_subsets(fitted, n, seed, np.empty((2, n)))
+            calibration._above_subsets(fitted, seed, *_subset_scratch(n))
         return
     weights /= weights.sum()
     stream = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence((seed, zlib.crc32(b"__event__"))))
     )
     expected = stream.choice(len(weights), size=n, p=weights) + 1
-    drawn = calibration._above_subsets(fitted, n, seed, np.empty((2, n)))
+    drawn = calibration._above_subsets(fitted, seed, *_subset_scratch(n))
     assert drawn.dtype == expected.dtype
     assert np.array_equal(drawn, expected)
 
@@ -672,6 +680,85 @@ def test_summed_menu_with_no_object_above_threshold_is_degenerate():
     paths = [_sigmoid_path(threshold=500.0), replace(_sigmoid_path(threshold=500.0), object_name="b")]
     with pytest.raises(DegeneratePopulationError, match="'obj', 'b'.*no positive event"):
         sample_scores(paths, [10.0, 10.0], "summed", n=2000)
+
+
+# === the sampler's per-thread scratch ===
+
+
+def _bundled_menu(menu_name):
+    menu = load_config(CONFIG_DIR / "cms_base.cfg").menus[menu_name]
+    return menu.paths, PINNED_LAMS[menu_name], menu.mode
+
+
+@pytest.mark.parametrize("menu_name", ["l1_menu", "hlt_menu"])
+def test_a_new_sample_count_and_back_give_the_same_atoms(menu_name):
+    # 4999 splits unevenly over the hlt menu's 6 paths (one-at-a-time)
+    paths, lams, mode = _bundled_menu(menu_name)
+    assert _atoms(sample_scores(paths, lams, mode, 50_000, 0)) == PINNED_ATOMS[menu_name, 0]
+    sampled = sample_scores(paths, lams, mode, 4999, 1)
+    assert _atoms(sampled) == _atoms(_reference_sample_scores(paths, lams, mode, 4999, 1))
+    assert _atoms(sample_scores(paths, lams, mode, 50_000, 1)) == PINNED_ATOMS[menu_name, 1]
+
+
+@pytest.mark.parametrize("failing", ["degenerate", "non_finite_lam"])
+def test_a_call_after_a_failed_one_gives_the_same_atoms(failing):
+    paths, lams, mode = _bundled_menu("l1_menu")
+    sample_scores(paths, lams, mode, 50_000, 0)
+    if failing == "degenerate":
+        with pytest.raises(DegeneratePopulationError):
+            sample_scores(paths, [800.0] * len(paths), "summed", 50_000, 0)
+    else:
+        with pytest.raises(ValueError, match="finite"):
+            sample_scores(paths, [*lams[:-1], math.nan], mode, 50_000, 0)
+    assert _atoms(sample_scores(paths, lams, mode, 50_000, 20240)) == PINNED_ATOMS["l1_menu", 20240]
+
+
+def test_threads_sampling_at_once_give_the_serial_atoms():
+    # four threads on two cores, all at the same n, so that one shared scratch
+    # would be overwritten mid-call; a short switch interval interleaves them often
+    jobs = [(name, first) for name in ("l1_menu", "hlt_menu") for first in (0, 100)]
+    menus = {name: _bundled_menu(name) for name, _ in jobs}
+
+    def sample_all(job):
+        (paths, lams, mode), first = menus[job[0]], job[1]
+        return [_atoms(sample_scores(paths, lams, mode, 50_000, s)) for s in range(first, first + 4)]
+
+    serial = [sample_all(job) for job in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def run(job):
+        start.wait(timeout=60)
+        return sample_all(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            concurrent = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
+    assert serial[0][0] == PINNED_ATOMS["l1_menu", 0]
+
+
+def test_the_scratch_is_kept_for_the_last_sample_count_until_clear_caches():
+    held = calibration._scratch_for(3000)
+    assert all(a is b for a, b in zip(calibration._scratch_for(3000), held))
+    calibration.clear_caches()
+    assert calibration._scratch_for(3000)[0] is not held[0]
+    assert calibration._scratch_for(2000)[1].shape == (2000,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 20),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_atom_counts_are_bincount(k, n, seed):
+    row = np.random.default_rng(seed).integers(0, k + 1, size=n, dtype=np.int8)
+    assert calibration._atom_counts(row) == np.bincount(row).tolist()
 
 
 def test_build_menu_fits_and_returns_model():
