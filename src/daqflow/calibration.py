@@ -9,7 +9,10 @@ path rate
     rate(lam) = input_rate * integral eff(p) * PDF(lam, p) dp
 
 matches the measured per-path rate; `trigger_rate` evaluates that integral
-in closed form and `fit_lambda` inverts it, both in plain `math`.
+in closed form and `fit_lambda` inverts it, both in plain `math`.  The fit
+starts from the root of the rate's sharp-turn-on limit, exact at width 0,
+and takes secant steps kept inside a bracket of the root, ~5 rate
+evaluations per fit on generated menus.
 Monte Carlo samples over the fitted spectra then produce empirical score
 distributions for the true and false event populations.
 
@@ -228,19 +231,54 @@ def trigger_rate(path: TriggerPath, lam: float) -> float:
     return path.input_rate * curve.plateau * (a * (1.0 - s * above) + s * below)
 
 
+def _sharp_turn_on_root(path: TriggerPath) -> float:
+    """The lam at which the sharp-turn-on limit of the rate meets the target; lam in 1/GeV.
+
+    Over the whole real line, a logistic turn-on's two-sided Laplace
+    transform gives rate = input_rate * plateau * exp(-lam * threshold) *
+    pi s / sin(pi s), s = lam * width, for s < 1; the path's rate leaves out
+    only the p < 0 part, below it by about s * exp(-(1 - s) * threshold /
+    width) / (1 - s) of the rate, and is this limit exactly at width 0.
+    Newton steps solve lam * threshold - log(pi s / sin(pi s)) = log(input_rate
+    * plateau / target) from its width-0 root log(input_rate * plateau /
+    target) / threshold, rising to the root since the left side is concave
+    in lam.  The width-0 root stands in when the width is 0, or when s
+    leaves (0, 0.95) or the left side stops rising, where the limit is far
+    from the rate.
+    """
+    curve = path.curve
+    log_ratio = math.log(path.input_rate * curve.plateau / path.empirical_rate)
+    lam = step_root = log_ratio / curve.threshold
+    for _ in range(5):
+        s = lam * curve.width
+        if not 0.0 < s < 0.95:
+            return step_root
+        x = math.pi * s
+        slope = curve.threshold - curve.width * (1.0 / s - math.pi / math.tan(x))
+        if not slope > 0.0:
+            return step_root
+        lam -= (lam * curve.threshold - math.log(x / math.sin(x)) - log_ratio) / slope
+    return lam if 0.0 < lam * curve.width < 0.95 else step_root
+
+
 def fit_lambda(path: TriggerPath) -> float:
     """Invert the monotone lam -> rate map onto the measured path rate; lam in 1/GeV.
 
     The rate is strictly decreasing in lam, so once the target lies between
-    the rates at the ends of FIT_BRACKET, regula falsi with the Illinois rule
-    (Dowell and Jarratt, BIT 11 (1971) 168-174) finds the unique root of
-    log(rate / target), near linear in lam for a sharp turn-on (rate ~
-    exp(-lam * threshold)).  It stops once the next secant step would move lam
-    by <= 1e-10 * lam, no float lies inside the bracket or a residual is 0, and
-    returns the evaluated lam of smallest residual; each lam is evaluated once.
-    The fitted rate must then be within FIT_RATE_RTOL of the target.  A
-    target past an end's rate by at most FIT_END_ULPS + lam * threshold ulps
-    of that rate fits that end.
+    the rates at the ends of FIT_BRACKET, the root of log(rate / target) is
+    unique and stays bracketed.  The first interior point is the root of
+    the rate's sharp-turn-on limit (`_sharp_turn_on_root`), within 1e-8 of
+    the fit once threshold / width >= 30 and lam * width <= 0.5; each later
+    one is the secant step through the two newest points, near exact since
+    the residual is near linear in lam (rate ~ exp(-lam * threshold)).  A
+    point that leaves the bracket is replaced by the regula falsi step on
+    the bracket with the Illinois rule (Dowell and Jarratt, BIT 11 (1971)
+    168-174), so the bracket keeps shrinking.  The fit stops once the next
+    secant step would move lam by <= 1e-10 * lam, no float lies inside the
+    bracket or a residual is 0, and returns the evaluated lam of smallest
+    residual; each lam is evaluated once.  The fitted rate must then be
+    within FIT_RATE_RTOL of the target.  A target past an end's rate by at
+    most FIT_END_ULPS + lam * threshold ulps of that rate fits that end.
     """
     target = path.empirical_rate
     lo, hi = FIT_BRACKET
@@ -265,14 +303,20 @@ def fit_lambda(path: TriggerPath) -> float:
         # threshold) counts as the smallest positive float, not log(0)
         return math.log(max(rate, math.ulp(0.0))) - log_target
 
-    # fa >= 0 >= fb; b is the newest point, and trigger_rate stays a call-time global
-    a, fa = lo, residual(rate_lo)
-    b, fb = hi, residual(rate_hi)
-    best = min((abs(fa), lo, rate_lo), (abs(fb), hi, rate_hi))
+    # a and b bracket the root, b the newest point and prev the one before
+    # it; fa is halved by the Illinois rule.  b starts at the low end: the
+    # residual is near linear from lam = 0 and flattens towards the top end,
+    # so the first secant runs through the low end.  trigger_rate stays a
+    # call-time global.
+    a, fa = hi, residual(rate_hi)
+    b, fb = lo, residual(rate_lo)
+    best = min((abs(fb), lo, rate_lo), (abs(fa), hi, rate_hi))
+    lam = _sharp_turn_on_root(path)
     while best[0] > 0.0:
-        lam = b - fb * (b - a) / (fb - fa)
-        if abs(lam - b) <= 1e-10 * b or not min(a, b) < lam < max(a, b):
-            break
+        if not min(a, b) < lam < max(a, b):
+            lam = b - fb * (b - a) / (fb - fa)
+            if not min(a, b) < lam < max(a, b):
+                break
         rate = trigger_rate(path, lam)
         f = residual(rate)
         best = min(best, (abs(f), lam, rate))
@@ -280,7 +324,11 @@ def fit_lambda(path: TriggerPath) -> float:
             fa /= 2.0  # Illinois: halve the residual of an end kept again
         else:
             a, fa = b, fb
-        b, fb = lam, f
+        prev, f_prev, b, fb = b, fb, lam, f
+        # equal residuals have no secant: nan leaves the bracket
+        lam = b - fb * (b - prev) / (fb - f_prev) if fb != f_prev else math.nan
+        if abs(lam - b) <= 1e-10 * b:
+            break
     _, lam, rate = best
     if abs(rate - target) > FIT_RATE_RTOL * target:
         raise FitInfeasibleError(
