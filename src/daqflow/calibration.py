@@ -27,11 +27,13 @@ PRNG: numpy PCG64.  Path substreams are seeded with SeedSequence((seed,
 crc32(path_name))) and subset choices for positive events come from a
 dedicated event stream SeedSequence((seed, crc32("__event__"))), so sampling
 is bit-identical across runs for a given seed, regardless of path iteration
-order.  Each path draws four blocks in a fixed order: the negative momenta,
-their detection uniforms, the positive momenta, theirs.  An outcome is
-`uniform < eff(p)`, with eff(p) from numpy's exp; platforms agree as far as
-their exp agrees, to a few ulps, so an outcome can differ only for a uniform
-that close to eff(p).  A summed menu's positive events draw their subsets
+order.  Each path draws four blocks in a fixed order: the negative momentum
+uniforms, their detection uniforms, the positive ones, theirs.  An outcome
+u2 < eff(p) is decided as u2 * (1 + exp(z)) < plateau, z = (threshold - p)
+/ width formed from the momentum uniform's log1p (`_add_detections`);
+platforms agree as far as their exp and log1p agree, to a few ulps, so an
+outcome can differ only for a u2 that close to eff(p), as it can from a
+u2 < eff(p) test.  A summed menu's positive events draw their subsets
 on the event stream exactly as Generator.choice(p=weights) would: one
 uniform per event, located in the normalised cumulative weights; path i is
 above in subset s when bit i of s + 1 is set.
@@ -478,50 +480,57 @@ def _add_detections(
 ) -> None:
     """Add one path's detection outcomes to scores[0] (negative) and scores[1] (positive).
 
-    Negative momenta lie below the threshold; positive ones lie above it
+    Negative momenta lie below the threshold T; positive ones lie above it
     where `above` (1, or an int8 row of 0/1 per sample) is 1 and below it
-    elsewhere.  The draw order is fixed: negative-block momenta, their
-    detection uniforms, then the positive blocks in the same order.  work
-    holds two rows of at least len(scores[0]) floats, overwritten; the
-    uniforms row is scratch for the momenta until its draw.
-    """
-    rng, n = _substream(seed, path.object_name), scores.shape[1]
-    momenta, uniforms = work[:, :n]
-    for side, score in zip((0, above), scores):
-        _momenta(rng.random(out=momenta), lam, path.curve.threshold, side, uniforms)
-        score += rng.random(out=uniforms) < _turn_on(path.curve, momenta)
-
-
-def _momenta(
-    u: np.ndarray, lam: float, threshold: float, above, scratch: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF momenta from the uniforms u, in place.
-
-    Below the threshold, the exponential truncated to (0, threshold]:
-    -log1p(-u * (1 - exp(-lam * threshold))) / lam.  Above it, the
-    memoryless tail threshold - log1p(-u) / lam.  One log1p serves both:
-    its argument is u times -1.0 above or s = -(1 - exp(-lam * threshold))
-    below, then the quotient by -lam gains the offset threshold above.
-    `above` is 0, 1 or an int8 row of 0/1; a row's scale and offset go
-    through scratch as above * (-1 - s) + s and above * threshold, where the
-    sum rounds away the <= 2**-54 error of -1 - s.  Each step is exact, so
-    both forms come out bit for bit.
+    elsewhere.  The draw order is fixed: negative-block momentum uniforms
+    u1, their detection uniforms u2, then the positive blocks in the same
+    order.  By the inverse CDF, p = -L / lam below T (the exponential
+    truncated to (0, T]) and T - L / lam above it (the memoryless tail),
+    L = log1p(u1 * scale), scale = -(1 - exp(-lam * T)) below and -1 above.
+    So (T - p) / width = L * k + c, k = 1 / (lam * width), c = T / width
+    below and 0 above, and u2 < eff(p) is u2 * (1 + exp(L * k + c)) <
+    plateau: no momentum and no division.  An exp that overflows gives no
+    detection (inf, or nan at u2 = 0), as eff(p) = 0 does.  A step curve,
+    or one whose c or k is not finite, builds the momenta and evaluates
+    `_turn_on` on them.  A row's term per side goes through the uniforms
+    row before its draw as above * (above's - below's) + below's, exact
+    for each term (for the scale, the sum rounds away the <= 2**-54 error
+    of -1 - scale), so both forms of `above` come out bit for bit.  work
+    holds two rows of at least len(scores[0]) floats, overwritten.
     """
     import numpy as np
 
-    below_scale = -(1.0 - math.exp(-lam * threshold))
-    if isinstance(above, np.ndarray):
-        np.multiply(above, -1.0 - below_scale, out=scratch)
-        u *= np.add(scratch, below_scale, out=scratch)
-    else:
-        u *= -1.0 if above else below_scale
-    np.log1p(u, out=u)
-    u /= -lam
-    if isinstance(above, np.ndarray):
-        u += np.multiply(above, threshold, out=scratch)
-    elif above:
-        u += threshold
-    return u
+    curve = path.curve
+    rng, n = _substream(seed, path.object_name), scores.shape[1]
+    x, uniforms = work[:, :n]
+
+    def by_side(side, if_below: float, if_above: float):
+        # if_below where side is 0 and if_above where it is 1: a float, or a row in uniforms
+        if not isinstance(side, np.ndarray):
+            return if_above if side else if_below
+        np.multiply(side, if_above - if_below, out=uniforms)
+        return np.add(uniforms, if_below, out=uniforms)
+
+    k = 1.0 / (lam * curve.width) if lam * curve.width else math.inf
+    c = curve.threshold / curve.width if curve.width else math.inf
+    logistic = math.isfinite(k) and math.isfinite(c)
+    below_scale = -(1.0 - math.exp(-lam * curve.threshold))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side, score in zip((0, above), scores):
+            rng.random(out=x)
+            x *= by_side(side, below_scale, -1.0)
+            np.log1p(x, out=x)
+            if logistic:
+                x *= k
+                x += by_side(side, c, 0.0)
+                np.exp(x, out=x)
+                x += 1.0
+                x *= rng.random(out=uniforms)
+                score += x < curve.plateau
+            else:
+                x /= -lam
+                x += by_side(side, 0.0, curve.threshold)
+                score += rng.random(out=uniforms) < _turn_on(curve, x)
 
 
 def build_menu(menu: MenuSpec, seed: int = 0) -> ClassifierModel:

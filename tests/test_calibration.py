@@ -6,8 +6,8 @@ log-grid scan and scipy's brentq, and the samplers against conditional
 expectations from quadrature, so no check leans on the code under test for
 its reference value.
 The sampler's exact output is pinned, and checked atom for atom against a
-straightforward reference sampler kept here; its screened detections are
-checked against the curve.
+straightforward reference sampler kept here, which decides each detection
+with the turn-on curve itself.
 """
 
 import math
@@ -618,6 +618,68 @@ def test_single_path_atoms_are_pinned(path, lam, mode, seed, atoms):
     assert _atoms(sample_scores([path], [lam], mode, 50_000, seed)) == atoms
 
 
+# Redraws of the bundled menus as perfbench's menu_fresh workload makes them:
+# per path, the factor on its threshold, the factor on width / threshold, the
+# plateau, and lam, its redrawn rate's fit to four digits; then the seed and
+# the atoms, recorded from the sampler that decided every detection with
+# EfficiencyCurve.
+GENERATED_MENUS = [
+    ("l1_menu", 281, (
+        (1.015, 1.34, 0.911, 0.2585), (1.016, 0.958, 0.864, 0.2534),
+        (1.093, 1.298, 0.996, 0.2258), (0.829, 1.34, 0.898, 0.02748),
+    ), (((0.0, 1.0, 2.0), (49420, 49999, 50000)),
+        ((0.0, 1.0, 2.0, 3.0), (17042, 49733, 49999, 50000)))),
+    ("l1_menu", 282, (
+        (1.167, 1.112, 0.989, 0.1731), (1.171, 0.868, 0.927, 0.2028),
+        (0.872, 0.507, 0.991, 0.1878), (1.052, 1.454, 0.869, 0.01982),
+    ), (((0.0, 1.0, 2.0), (49256, 49999, 50000)),
+        ((0.0, 1.0, 2.0, 3.0), (12732, 49545, 49999, 50000)))),
+    ("l1_menu", 283, (
+        (1.158, 0.825, 0.867, 0.1878), (1.057, 1.412, 0.873, 0.4639),
+        (1.143, 0.753, 0.883, 0.1288), (1.14, 0.613, 0.868, 0.01573),
+    ), (((0.0, 1.0), (49707, 50000)),
+        ((0.0, 1.0, 2.0, 3.0), (14483, 49755, 49997, 50000)))),
+    ("hlt_menu", 284, (
+        (1.112, 1.024, 0.887, 0.01319), (0.823, 0.521, 0.934, 0.07169),
+        (0.978, 0.945, 0.905, 0.02493), (0.955, 1.01, 0.877, 0.3093),
+        (0.798, 1.002, 0.925, 0.1769), (1.122, 1.497, 0.891, 0.03684),
+    ), (((0.0, 1.0), (49997, 50000)),
+        ((0.0, 1.0), (10082, 50000)))),
+    ("hlt_menu", 285, (
+        (0.954, 1.373, 0.883, 0.01522), (1.189, 0.527, 0.95, 0.05039),
+        (0.916, 0.798, 0.922, 0.02755), (0.897, 1.19, 0.91, 0.3481),
+        (1.087, 1.422, 0.864, 0.1378), (0.985, 0.541, 0.882, 0.03969),
+    ), (((0.0, 1.0), (49995, 50000)),
+        ((0.0, 1.0), (10079, 50000)))),
+    ("hlt_menu", 286, (
+        (1.052, 0.792, 0.855, 0.01456), (0.965, 1.204, 0.916, 0.06049),
+        (1.003, 0.616, 0.862, 0.02201), (1.237, 0.649, 0.878, 0.2319),
+        (1.138, 1.145, 0.952, 0.1357), (0.865, 0.742, 0.989, 0.04543),
+    ), (((0.0, 1.0), (49991, 50000)),
+        ((0.0, 1.0), (9213, 50000)))),
+]
+
+
+def _generated_menu(menu_name, draws):
+    menu = load_config(CONFIG_DIR / "cms_base.cfg").menus[menu_name]
+    paths = []
+    for path, (threshold_factor, width_factor, plateau, _) in zip(menu.paths, draws, strict=True):
+        threshold = path.curve.threshold * threshold_factor
+        width = threshold * (path.curve.width / path.curve.threshold) * width_factor
+        paths.append(replace(path, curve=EfficiencyCurve(threshold, width, plateau)))
+    return paths, [lam for *_, lam in draws], menu.mode
+
+
+@pytest.mark.parametrize(
+    ("menu_name", "seed", "draws", "atoms"),
+    GENERATED_MENUS,
+    ids=[f"{name}-{seed}" for name, seed, *_ in GENERATED_MENUS],
+)
+def test_generated_menu_atoms_are_pinned(menu_name, seed, draws, atoms):
+    paths, lams, mode = _generated_menu(menu_name, draws)
+    assert _atoms(sample_scores(paths, lams, mode, 50_000, seed)) == atoms
+
+
 # === the sampler's shortcuts against the calls they replace ===
 
 
@@ -676,6 +738,10 @@ _reference_paths = st.lists(
     n=st.integers(1000, 3000),
     seed=st.integers(0, 2**32 - 1),
 )
+# threshold / width = 1e4: exp((threshold - p) / width) overflows for p below ~99.93 GeV
+@example(specs=[(100.0, 1e-4, 0.9, 0.0), (30.0, 0.05, 0.95, -0.5)], mode="summed", n=2000, seed=5)
+# threshold / width = 1e308 is finite, 1 / (lam * width) = 1e312 is not: the step branch
+@example(specs=[(1.0, 1e-308, 0.8, -4.0), (30.0, 0.05, 0.95, -0.5)], mode="summed", n=2000, seed=6)
 def test_sampler_matches_its_reference_atom_for_atom(specs, mode, n, seed):
     paths, lams = [], []
     for i, (threshold, relative_width, plateau, log_at) in enumerate(specs):
@@ -698,6 +764,19 @@ def test_a_12_path_summed_menu_matches_the_reference_atom_for_atom():
     reference = _reference_sample_scores(paths, lams, "summed", 20_000, 314)
     assert _atoms(sampled) == _atoms(reference)
     assert len(sampled[1].values) >= 5
+
+
+@pytest.mark.parametrize("mode", ["summed", "one-at-a-time"])
+@pytest.mark.parametrize("width", [1e-306, 4e-306])
+def test_a_turn_on_a_few_hundred_ulps_wide_matches_the_reference(width, mode):
+    # threshold / width is inf at 1e-306 GeV and 1e308 at 4e-306 GeV, while
+    # 1 / (lam * width) is finite: exp overflows, and u2 * inf meets u2 = 0 as nan
+    threshold, lam = 400.0, 0.01
+    assert math.isfinite(1.0 / (lam * width))
+    paths = [TriggerPath("sharp", EfficiencyCurve(threshold, width, 0.9), 1.0, 1e6), _sigmoid_path()]
+    lams = [lam, 0.05]
+    sampled = sample_scores(paths, lams, mode, 5000, 28)
+    assert _atoms(sampled) == _atoms(_reference_sample_scores(paths, lams, mode, 5000, 28))
 
 
 # lam * threshold per path: a = exp(-lam * threshold) in (0, 1), underflowing
