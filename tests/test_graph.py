@@ -1,11 +1,16 @@
 """DAG structure, validation, and flow propagation."""
 
+import copy
+import inspect
 import math
 import pickle
-from dataclasses import fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, make_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import discrete_sim
 from daqflow.classifier import ClassifierModel, ParametricScores
@@ -18,6 +23,7 @@ from daqflow.graph import (
     PipelineGraph,
     ProcessNode,
     SensorNode,
+    _slot_init,
     propagate_flows,
     required_channels,
     validate_graph,
@@ -541,3 +547,181 @@ def test_random_graphs_satisfy_structural_checks():
         g = discrete_sim.random_pipeline(rng)
         assert len(g.nodes) <= 5
         assert validate_graph(g).ok
+
+
+# one record of each class, every optional field set where it has one
+RECORDS = [
+    SensorNode(
+        "s", 1e3, 40e6, relevant_fraction=1e-4, role="tracker", enabled_min_pileup=140.0,
+        constant_power_w=2.0,
+    ),
+    ProcessNode(
+        "p", ConstantFn(1.0), 1e-12, LinearFn(slope=1.0), classifier=_classifier(),
+        reduction_target=10.0, role="l1t", unit_power_w=5.0, constant_power_w=1.0,
+    ),
+    OutputNode("out"),
+    _link("l", "a", "b"),
+    MessageFlow(10.0, 2.0, 4.0, 6.0),
+]
+
+
+def _plain_twin(cls):
+    """`cls` as a plain frozen slots dataclass: the same fields, dataclasses' own `__init__`."""
+    spec = [
+        (f.name, f.type) if f.default is MISSING else (f.name, f.type, f.default) for f in fields(cls)
+    ]
+    return make_dataclass(cls.__name__, spec, frozen=True, slots=True)
+
+
+def test_the_sensor_signature_and_doc_are_the_dataclass_ones():
+    params = (
+        "id: 'str', sample_size: 'float', sample_rate: 'float', relevant_fraction: 'float' = 0.0, "
+        "pileup_scaling: 'object' = ConstantScaling(), role: 'str | None' = None, "
+        "enabled_min_pileup: 'float | None' = None, constant_power_w: 'float' = 0.0"
+    )
+    assert str(inspect.signature(SensorNode)) == f"({params}) -> None"
+    assert SensorNode.__doc__ == f"SensorNode({params})"
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_keep_the_dataclass_contract(record):
+    cls = type(record)
+    twin = _plain_twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert cls.__doc__ == twin.__doc__
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    # repr and hash as a plain dataclass of the same values has them
+    plain = twin(**{f.name: getattr(record, f.name) for f in fields(cls)})
+    assert repr(record) == repr(plain)
+    assert hash(record) == hash(plain)
+    assert record == cls(*(getattr(record, f.name) for f in fields(cls)))
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, f.name)
+    first = fields(cls)[0].name
+    for copied in (
+        replace(record),
+        replace(record, **{first: getattr(record, first)}),
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert type(copied) is cls
+        assert copied == record and hash(copied) == hash(record)
+
+
+def test_replace_still_runs_the_checks():
+    with pytest.raises(ValueError, match="sample_size and sample_rate must be positive"):
+        replace(RECORDS[0], sample_size=-1.0)
+    with pytest.raises(ValueError, match="add up"):
+        replace(RECORDS[-1], n_true=5.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [field(default_factory=list), field(default=0, init=False), field(default=0, kw_only=True)],
+    ids=["default_factory", "init_false", "kw_only"],
+)
+def test_the_slot_init_refuses_fields_it_does_not_handle(spec):
+    @dataclass(frozen=True, slots=True)
+    class Throwaway:
+        a: int
+        b: object = spec
+
+    with pytest.raises(TypeError, match=r"Throwaway\.b: a field with a default_factory"):
+        _slot_init(Throwaway)
+
+
+# The validity checks of SensorNode, CommLink and MessageFlow as they read
+# before valid records were passed by one chained test: the reference that
+# each constructor must match, verdict and message.
+def _reference_sensor_checks(s):
+    if not (
+        math.isfinite(s.sample_size)
+        and math.isfinite(s.sample_rate)
+        and math.isfinite(s.relevant_fraction)
+        and (s.enabled_min_pileup is None or math.isfinite(s.enabled_min_pileup))
+        and math.isfinite(s.constant_power_w)
+    ):
+        raise ValueError(f"sensor {s.id!r}: numeric fields must be finite")
+    if s.sample_size <= 0 or s.sample_rate <= 0:
+        raise ValueError(f"sensor {s.id!r}: sample_size and sample_rate must be positive")
+    if not 0.0 <= s.relevant_fraction <= 1.0:
+        raise ValueError(f"sensor {s.id!r}: relevant_fraction must lie in [0, 1]")
+    if s.constant_power_w < 0:
+        raise ValueError(f"sensor {s.id!r}: constant_power_w must be >= 0")
+
+
+def _reference_link_checks(l):
+    if not (math.isfinite(l.energy_per_bit) and math.isfinite(l.bandwidth_per_channel)):
+        raise ValueError(f"link {l.id!r}: numeric fields must be finite")
+    if l.energy_per_bit < 0:
+        raise ValueError(f"link {l.id!r}: energy_per_bit must be >= 0")
+    if l.bandwidth_per_channel <= 0:
+        raise ValueError(f"link {l.id!r}: bandwidth_per_channel must be positive")
+
+
+def _reference_flow_checks(f):
+    if not (f.rate >= 0 and f.size >= 0 and f.n_true >= 0 and f.n_false >= 0):
+        raise ValueError("flow fields must be >= 0")
+    if abs((f.n_true + f.n_false) - f.rate) > 1e-9 * max(f.rate, 1.0):
+        raise ValueError(f"flow populations do not add up: {f.n_true} + {f.n_false} != {f.rate}")
+
+
+def _verdict(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _same_verdict(cls, reference, **values):
+    assert _verdict(lambda: cls(**values)) == _verdict(lambda: reference(SimpleNamespace(**values)))
+
+
+_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1.0000000000000002,
+    0.9999999999999999, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+    math.nan,
+]
+# any float (subnormals, ±0, ±inf and nan included), unit-interval ones and the edges above
+NUMBERS = st.floats() | st.floats(0.0, 1.0) | st.sampled_from(_EDGES)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    size=NUMBERS, rate=NUMBERS, fraction=NUMBERS, min_pileup=st.none() | NUMBERS, power=NUMBERS,
+)
+@example(size=1.0, rate=1.0, fraction=0.0, min_pileup=None, power=0.0)
+@example(size=-0.0, rate=1.0, fraction=-0.0, min_pileup=-0.0, power=-0.0)
+def test_sensor_checks_match_the_reference(size, rate, fraction, min_pileup, power):
+    _same_verdict(
+        SensorNode, _reference_sensor_checks, id="s", sample_size=size, sample_rate=rate,
+        relevant_fraction=fraction, enabled_min_pileup=min_pileup, constant_power_w=power,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(energy=NUMBERS, bandwidth=NUMBERS)
+@example(energy=-0.0, bandwidth=5e-324)
+def test_link_checks_match_the_reference(energy, bandwidth):
+    _same_verdict(
+        CommLink, _reference_link_checks, id="l", source="a", target="b", energy_per_bit=energy,
+        bandwidth_per_channel=bandwidth,
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(rate=NUMBERS, size=NUMBERS, n_true=NUMBERS, n_false=NUMBERS | st.none())
+@example(rate=1.0, size=0.0, n_true=0.5, n_false=None)
+@example(rate=1.0, size=0.0, n_true=0.0, n_false=1.0 + 1e-9)
+@example(rate=1e9, size=0.0, n_true=1e9, n_false=1.1)
+def test_flow_checks_match_the_reference(rate, size, n_true, n_false):
+    if n_false is None:  # the populations add up, up to rounding
+        n_false = rate - n_true
+    _same_verdict(
+        MessageFlow, _reference_flow_checks, rate=rate, size=size, n_true=n_true, n_false=n_false,
+    )

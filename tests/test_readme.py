@@ -1,7 +1,8 @@
 """The README's examples against what the code prints.
 
-Each value the README shows is compared at the digits it prints; speed
-figures are tied to BENCH files instead and are not checked here.
+Each value the README shows is compared at the digits it prints, and its
+`python` blocks run whole; speed figures are tied to BENCH files instead
+and are not checked here.
 """
 
 import json
@@ -34,6 +35,15 @@ def test_the_library_example_shows_the_values_evaluate_returns(monkeypatch):
     row = evaluate(load_config("src/daqflow/configs/cms_run3.cfg")).row
     for name, digits in shown:
         assert repr(getattr(row, name)).startswith(digits), (name, getattr(row, name))
+
+
+def test_the_python_blocks_run_whole_in_readme_order(monkeypatch):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2  # Library use, then menu calibration, which reuses its `cfg`
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    for i, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
 
 
 def _listed_keys(command, lead):
