@@ -10,9 +10,10 @@ path rate
 
 matches the measured per-path rate; `trigger_rate` evaluates that integral
 in closed form and `fit_lambda` inverts it, both in plain `math`.  The fit
-starts from the root of the rate's sharp-turn-on limit, exact at width 0,
-and takes secant steps kept inside a bracket of the root, ~5 rate
-evaluations per fit on generated menus.
+starts from the root of a sharp-turn-on closed form of the rate, exact at
+width 0, takes a Newton step on that form's slope, then secant steps, and
+evaluates the ends of its lam bracket only when a step needs them: ~1.8
+rate evaluations per fit on generated menus.
 Monte Carlo samples over the fitted spectra then produce empirical score
 distributions for the true and false event populations.
 
@@ -35,8 +36,9 @@ platforms agree as far as their exp and log1p agree, to a few ulps, so an
 outcome can differ only for a u2 that close to eff(p), as it can from a
 u2 < eff(p) test.  A summed menu's positive events draw their subsets
 on the event stream exactly as Generator.choice(p=weights) would: one
-uniform per event, located in the normalised cumulative weights; path i is
-above in subset s when bit i of s + 1 is set.
+uniform per event, located in the normalised cumulative weights, its top
+bits by counting and the rest by binary search; path i is above in subset
+s when bit i of s + 1 is set.
 
 Calibrate once: `build_menu` keeps two bounded least-recently-used memos.
 A fitted lam depends only on its TriggerPath (it has no seed), so a menu
@@ -97,6 +99,11 @@ DEFAULT_SAMPLE_COUNT = 50_000
 # stays at constant memory.  A model is a few score atoms, a fit one float.
 MODEL_CACHE_SIZE = 64
 LAMBDA_CACHE_SIZE = 1024
+
+# The subset draw counts this many top bits of each event's subset index
+# before its binary search: 4 was fastest, or within 0.01 ms of it, at every
+# k = 4 .. 8 at n = 50,000 (`BENCH_30.json` `subset_table`)
+_COUNTED_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -233,104 +240,145 @@ def trigger_rate(path: TriggerPath, lam: float) -> float:
     return path.input_rate * curve.plateau * (a * (1.0 - s * above) + s * below)
 
 
-def _sharp_turn_on_root(path: TriggerPath) -> float:
-    """The lam at which the sharp-turn-on limit of the rate meets the target; lam in 1/GeV.
+def _sharp_turn_on_root(path: TriggerPath) -> tuple[float, float]:
+    """The lam at which the sharp-turn-on closed form of the rate meets the
+    target, and the closed form's slope there; lam in 1/GeV.
 
     Over the whole real line, a logistic turn-on's two-sided Laplace
-    transform gives rate = input_rate * plateau * exp(-lam * threshold) *
-    pi s / sin(pi s), s = lam * width, for s < 1; the path's rate leaves out
-    only the p < 0 part, below it by about s * exp(-(1 - s) * threshold /
-    width) / (1 - s) of the rate, and is this limit exactly at width 0.
-    Newton steps solve lam * threshold - log(pi s / sin(pi s)) = log(input_rate
-    * plateau / target) from its width-0 root log(input_rate * plateau /
-    target) / threshold, rising to the root since the left side is concave
-    in lam.  The width-0 root stands in when the width is 0, or when s
-    leaves (0, 0.95) or the left side stops rising, where the limit is far
-    from the rate.
+    transform gives the limit input_rate * plateau * exp(-lam * threshold) *
+    pi s / sin(pi s), s = lam * width, for s < 1.  The path's rate leaves out
+    the p < 0 part, whose first term is input_rate * plateau * s * exp(-c) /
+    (1 - s), c = threshold / width.  The closed form is the limit less that
+    term, a fraction q = exp(-(1 - s) c) sin(pi s) / (pi (1 - s)) of it, and
+    misses the rate by the next term, ~exp(-(2 - s) c) of the rate.  Newton
+    steps solve phi(lam) = lam * threshold - log(pi s / sin(pi s)) -
+    log1p(-q) - log(input_rate * plateau / target) = 0, minus the log of the
+    closed form over the target, from the width-0 root log(input_rate *
+    plateau / target) / threshold; the slope returned is phi'(lam).  The
+    width-0 root, with slope threshold, stands in when the width is 0, or
+    when s leaves (0, 0.95), q reaches 1 or phi stops rising, where the
+    closed form is far from the rate.
     """
     curve = path.curve
+    threshold, width = curve.threshold, curve.width
     log_ratio = math.log(path.input_rate * curve.plateau / path.empirical_rate)
-    lam = step_root = log_ratio / curve.threshold
-    for _ in range(5):
-        s = lam * curve.width
+    lam = step_root = log_ratio / threshold
+    for newton_steps_left in range(5, -1, -1):
+        s = lam * width
         if not 0.0 < s < 0.95:
-            return step_root
+            return step_root, threshold
         x = math.pi * s
-        slope = curve.threshold - curve.width * (1.0 / s - math.pi / math.tan(x))
+        cot = math.pi / math.tan(x)  # d log(sin(pi s)) / ds
+        q = math.exp(-(1.0 - s) * (threshold / width)) * math.sin(x) / (math.pi * (1.0 - s))
+        if not q < 1.0:
+            return step_root, threshold
+        # d log q / dlam is threshold + width * (cot + 1 / (1 - s))
+        slope = (
+            threshold
+            - width * (1.0 / s - cot)
+            + q * (threshold + width * (cot + 1.0 / (1.0 - s))) / (1.0 - q)
+        )
         if not slope > 0.0:
-            return step_root
-        lam -= (lam * curve.threshold - math.log(x / math.sin(x)) - log_ratio) / slope
-    return lam if 0.0 < lam * curve.width < 0.95 else step_root
+            return step_root, threshold
+        if not newton_steps_left:
+            return lam, slope
+        lam -= (lam * threshold - math.log(x / math.sin(x)) - math.log1p(-q) - log_ratio) / slope
 
 
 def fit_lambda(path: TriggerPath) -> float:
     """Invert the monotone lam -> rate map onto the measured path rate; lam in 1/GeV.
 
-    The rate is strictly decreasing in lam, so once the target lies between
-    the rates at the ends of FIT_BRACKET, the root of log(rate / target) is
-    unique and stays bracketed.  The first interior point is the root of
-    the rate's sharp-turn-on limit (`_sharp_turn_on_root`), within 1e-8 of
-    the fit once threshold / width >= 30 and lam * width <= 0.5; each later
-    one is the secant step through the two newest points, near exact since
-    the residual is near linear in lam (rate ~ exp(-lam * threshold)).  A
-    point that leaves the bracket is replaced by the regula falsi step on
+    The rate is strictly decreasing in lam, so the root of log(rate /
+    target) is unique.  The first point is the root of the sharp-turn-on
+    closed form (`_sharp_turn_on_root`), 5.2e-8 from the fit on the bundled
+    L1 paths; the second is a Newton step on that closed form's slope, and
+    each later one the secant step through the two newest points.  A
+    FIT_BRACKET end is evaluated only when the fit needs it: until some
+    point lies on each side of the root, a step that would leave the
+    bracket, end within the stopping distance of an end, turn back past
+    the newest point or, from the third point on, grow longer than the
+    step before it (the secant creeps where the residual flattens)
+    evaluates the end on the root's side instead.  A target past that end's
+    rate by at most FIT_END_ULPS + lam * threshold ulps of that rate fits
+    that end; past it by more, no lam in the bracket fits.  Once the root
+    is bracketed, a step that leaves the bracket, and the step after three
+    points in a row on one side of the root, is the regula falsi step on
     the bracket with the Illinois rule (Dowell and Jarratt, BIT 11 (1971)
     168-174), so the bracket keeps shrinking.  The fit stops once the next
-    secant step would move lam by <= 1e-10 * lam, no float lies inside the
+    step would move lam by <= 1e-10 * lam, no float lies inside the
     bracket or a residual is 0, and returns the evaluated lam of smallest
     residual; each lam is evaluated once.  The fitted rate must then be
-    within FIT_RATE_RTOL of the target.  A target past an end's rate by at
-    most FIT_END_ULPS + lam * threshold ulps of that rate fits that end.
+    within FIT_RATE_RTOL of the target.
     """
     target = path.empirical_rate
-    lo, hi = FIT_BRACKET
-    rate_lo, rate_hi = trigger_rate(path, lo), trigger_rate(path, hi)
-    slack_lo, slack_hi = (
-        (FIT_END_ULPS + lam * path.curve.threshold) * math.ulp(rate)
-        for lam, rate in ((lo, rate_lo), (hi, rate_hi))
-    )
-    if not (rate_hi - slack_hi <= target <= rate_lo + slack_lo):
-        raise FitInfeasibleError(
-            f"path {path.object_name!r}: target rate {target:.6g} Hz outside the attainable "
-            f"range [{rate_hi:.6g}, {rate_lo:.6g}] Hz for lam in {FIT_BRACKET} 1/GeV"
-        )
-    if target >= rate_lo:
-        return lo
-    if target <= rate_hi:
-        return hi
     log_target = math.log(target)
+    lo, hi = FIT_BRACKET
+    end_rates: dict[float, float] = {}
 
     def residual(rate: float) -> float:
         # a rate that underflows to 0 (hard spectra far above a high
         # threshold) counts as the smallest positive float, not log(0)
         return math.log(max(rate, math.ulp(0.0))) - log_target
 
-    # a and b bracket the root, b the newest point and prev the one before
-    # it; fa is halved by the Illinois rule.  b starts at the low end: the
-    # residual is near linear from lam = 0 and flattens towards the top end,
-    # so the first secant runs through the low end.  trigger_rate stays a
-    # call-time global.
-    a, fa = hi, residual(rate_hi)
-    b, fb = lo, residual(rate_lo)
-    best = min((abs(fb), lo, rate_lo), (abs(fa), hi, rate_hi))
-    lam = _sharp_turn_on_root(path)
+    def fits_end(end: float, rate: float) -> bool:
+        # whether the target lies at or past the end's rate, which is `rate`
+        end_rates[end] = rate
+        slack = (FIT_END_ULPS + end * path.curve.threshold) * math.ulp(rate)
+        if not (rate - slack <= target if end == hi else target <= rate + slack):
+            rate_lo, rate_hi = (
+                end_rates[e] if e in end_rates else trigger_rate(path, e) for e in FIT_BRACKET
+            )
+            raise FitInfeasibleError(
+                f"path {path.object_name!r}: target rate {target:.6g} Hz outside the attainable "
+                f"range [{rate_hi:.6g}, {rate_lo:.6g}] Hz for lam in {FIT_BRACKET} 1/GeV"
+            )
+        return target <= rate if end == hi else target >= rate
+
+    # b is the newest point, prev the one before it and run the number of
+    # points in a row on b's side of the root; a, once a point lies on the
+    # other side, is the newest such point, and fa is halved by the Illinois
+    # rule.  trigger_rate stays a call-time global.
+    inner_lo, inner_hi = lo * (1.0 + 1e-10), hi * (1.0 - 1e-10)  # within stopping distance
+    lam, slope = _sharp_turn_on_root(path)
+    best = (math.inf, math.nan, math.nan)
+    a = fa = b = fb = prev = None
+    run = 0
     while best[0] > 0.0:
-        if not min(a, b) < lam < max(a, b):
-            lam = b - fb * (b - a) / (fb - fa)
+        if a is not None:
             if not min(a, b) < lam < max(a, b):
-                break
+                lam = b - fb * (b - a) / (fb - fa)
+                if not min(a, b) < lam < max(a, b):
+                    break
+        elif b is None:
+            if not inner_lo < lam < inner_hi:
+                lam = lo if lam <= inner_lo else hi
+        elif not (b < lam < inner_hi if fb > 0.0 else inner_lo < lam < b):
+            lam = hi if fb > 0.0 else lo
         rate = trigger_rate(path, lam)
+        if (lam == lo or lam == hi) and fits_end(lam, rate):
+            return lam
         f = residual(rate)
         best = min(best, (abs(f), lam, rate))
-        if (f < 0.0) == (fb < 0.0):
-            fa /= 2.0  # Illinois: halve the residual of an end kept again
+        if b is None:
+            b, fb, run = lam, f, 1
+            lam += f / slope  # Newton on the closed form's slope
         else:
-            a, fa = b, fb
-        prev, f_prev, b, fb = b, fb, lam, f
-        # equal residuals have no secant: nan leaves the bracket
-        lam = b - fb * (b - prev) / (fb - f_prev) if fb != f_prev else math.nan
-        if abs(lam - b) <= 1e-10 * b:
+            if (f < 0.0) == (fb < 0.0):
+                run += 1
+                if a is not None:
+                    fa /= 2.0  # Illinois: halve the residual of a bracket end kept again
+            else:
+                a, fa, run = b, fb, 1
+            prev, f_prev, b, fb = b, fb, lam, f
+            # equal residuals have no secant: nan leaves the bracket
+            lam = b - fb * (b - prev) / (fb - f_prev) if fb != f_prev else math.nan
+        if abs(lam - b) <= 1e-10 * b and (a is not None or inner_lo < lam < inner_hi):
             break
+        if run >= 3:
+            if a is not None:
+                lam = b - fb * (b - a) / (fb - fa)
+            elif abs(lam - b) > abs(b - prev):
+                lam = math.nan  # leaves, so the end on the root's side is evaluated
     _, lam, rate = best
     if abs(rate - target) > FIT_RATE_RTOL * target:
         raise FitInfeasibleError(
@@ -431,7 +479,13 @@ def _above_subsets(fitted, seed: int, work: np.ndarray, events: np.ndarray) -> n
     where a = exp(-lam * threshold) is the path's chance of an object above.
     Subset s (0-based) has mask s + 1: bit i set means path i is above.  The
     masks overwrite and return the intp row events, one per event; work
-    holds two rows of at least n = len(events) floats, overwritten.
+    holds two rows of at least n = len(events) floats, overwritten.  The
+    draw is Generator.choice(len(weights), size=n, p=weights) step for
+    step: the same cdf, the same uniforms, and per event the count of cdf
+    entries <= u that its searchsorted(side="right") finds.  The top
+    min(k, _COUNTED_BITS) bits of that count are the count of the cdf's
+    block ends <= u, exact since cdf is sorted: 15 compare-adds into a
+    one-byte row at k = 4.  A branch-free binary search decides the rest.
     """
     if len(fitted) > 20:
         raise ValueError("summed mode enumerates 2^k - 1 subsets; menu too large")
@@ -451,20 +505,23 @@ def _above_subsets(fitted, seed: int, work: np.ndarray, events: np.ndarray) -> n
             f"(every exp(-lam * threshold) underflows to 0), so no positive event exists"
         )
     weights /= total
-    # Generator.choice(len(weights), size=n, p=weights) step for step: the same
-    # cdf, the same uniforms, and the count of cdf entries <= u that its
-    # searchsorted(side="right") finds, here by a branch-free binary search.
-    # len(cdf) is 2^k - 1; with idx the bits decided so far, the next bit is
-    # cdf[(2 idx + 1) step - 1] <= u, element idx of cdf[step - 1 :: 2 step].
     cdf = weights.cumsum()
     cdf /= cdf[-1]
     n = len(events)
     uniforms, probes = work[:, :n]
     _substream(seed, "__event__").random(out=uniforms)
-    idx = events
-    idx.fill(0)
+    # len(cdf) is 2^k - 1.  Blocks of step entries end at cdf[j step - 1], j =
+    # 1 .. 2^counted - 1, and the count of block ends <= u is the block that
+    # holds the count of entries <= u.
+    step = 1 << (len(fitted) - min(len(fitted), _COUNTED_BITS))
+    top = np.zeros(n, dtype=np.uint8)
     bit = np.empty(n, dtype=bool)
-    step = len(weights) + 1
+    for block_end in cdf[step - 1 :: step]:
+        top += np.less_equal(block_end, uniforms, out=bit)
+    idx = events
+    idx[:] = top
+    # with idx the bits decided so far, the next bit is cdf[(2 idx + 1) step
+    # - 1] <= u, element idx of cdf[step - 1 :: 2 step]
     while step > 1:
         step >>= 1
         # every index is in range: "clip" only skips the check that buffers `out`

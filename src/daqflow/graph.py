@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
@@ -61,7 +62,20 @@ __all__ = [
 # relative tolerance for synchronized fan-in rate agreement
 MERGE_RTOL = 1e-6
 
-_INF = math.inf
+# An int compares exactly with a float, so a field above _MAX fails the
+# chained tests, where an int beyond the float range would pass `< inf`.
+_MAX = sys.float_info.max
+
+
+def _finite(*values: float | None) -> bool:
+    """Whether every value that is not None is a finite float, or an int within the float range."""
+    try:
+        for value in values:
+            if value is not None and not math.isfinite(value):
+                return False
+    except OverflowError:  # an int beyond the float range
+        return False
+    return True
 
 
 def _slot_init(cls: type) -> type:
@@ -113,19 +127,19 @@ class SensorNode:
     def __post_init__(self) -> None:
         # one chained test passes every valid sensor; the checks below name the fault
         if (
-            0.0 < self.sample_size < _INF
-            and 0.0 < self.sample_rate < _INF
+            0.0 < self.sample_size <= _MAX
+            and 0.0 < self.sample_rate <= _MAX
             and 0.0 <= self.relevant_fraction <= 1.0
-            and 0.0 <= self.constant_power_w < _INF
-            and (self.enabled_min_pileup is None or -_INF < self.enabled_min_pileup < _INF)
+            and 0.0 <= self.constant_power_w <= _MAX
+            and (self.enabled_min_pileup is None or -_MAX <= self.enabled_min_pileup <= _MAX)
         ):
             return
-        if not (
-            math.isfinite(self.sample_size)
-            and math.isfinite(self.sample_rate)
-            and math.isfinite(self.relevant_fraction)
-            and (self.enabled_min_pileup is None or math.isfinite(self.enabled_min_pileup))
-            and math.isfinite(self.constant_power_w)
+        if not _finite(
+            self.sample_size,
+            self.sample_rate,
+            self.relevant_fraction,
+            self.enabled_min_pileup,
+            self.constant_power_w,
         ):
             raise ValueError(f"sensor {self.id!r}: numeric fields must be finite")
         if self.sample_size <= 0 or self.sample_rate <= 0:
@@ -150,11 +164,8 @@ class ProcessNode:
     constant_power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.energy_per_op)
-            and (self.reduction_target is None or math.isfinite(self.reduction_target))
-            and (self.unit_power_w is None or math.isfinite(self.unit_power_w))
-            and math.isfinite(self.constant_power_w)
+        if not _finite(
+            self.energy_per_op, self.reduction_target, self.unit_power_w, self.constant_power_w
         ):
             raise ValueError(f"process {self.id!r}: numeric fields must be finite")
         if self.energy_per_op < 0:
@@ -183,9 +194,9 @@ class CommLink:
 
     def __post_init__(self) -> None:
         # one chained test passes every valid link; the checks below name the fault
-        if 0.0 <= self.energy_per_bit < _INF and 0.0 < self.bandwidth_per_channel < _INF:
+        if 0.0 <= self.energy_per_bit <= _MAX and 0.0 < self.bandwidth_per_channel <= _MAX:
             return
-        if not (math.isfinite(self.energy_per_bit) and math.isfinite(self.bandwidth_per_channel)):
+        if not _finite(self.energy_per_bit, self.bandwidth_per_channel):
             raise ValueError(f"link {self.id!r}: numeric fields must be finite")
         if self.energy_per_bit < 0:
             raise ValueError(f"link {self.id!r}: energy_per_bit must be >= 0")
@@ -206,8 +217,11 @@ class MessageFlow:
         # `>=` is False for NaN, so a NaN field fails here too
         if not (rate >= 0 and self.size >= 0 and n_true >= 0 and n_false >= 0):
             raise ValueError("flow fields must be >= 0")
-        if abs((n_true + n_false) - rate) > 1e-9 * (rate if rate > 1.0 else 1.0):
-            raise ValueError(f"flow populations do not add up: {n_true} + {n_false} != {rate}")
+        try:
+            if abs((n_true + n_false) - rate) > 1e-9 * (rate if rate > 1.0 else 1.0):
+                raise ValueError(f"flow populations do not add up: {n_true} + {n_false} != {rate}")
+        except OverflowError:  # a rate that is an int beyond the float range
+            raise ValueError("flow numeric fields must be finite") from None
 
 
 def _kahn_order(graph: PipelineGraph) -> list[str]:

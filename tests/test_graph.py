@@ -515,6 +515,53 @@ def test_node_and_link_constructors_reject_bad_numbers(build, message):
         build()
 
 
+_HUGE = 10**400  # an int beyond the float range: float(_HUGE) raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SensorNode("s", _HUGE, 1e6), r"^sensor 's': numeric fields must be finite$"),
+        (lambda: SensorNode("s", 1.0, 1.0, relevant_fraction=_HUGE), "sensor 's': numeric fields"),
+        (lambda: SensorNode("s", 1.0, 1.0, enabled_min_pileup=-_HUGE), "sensor 's': numeric fields"),
+        (lambda: SensorNode("s", 1.0, 1.0, constant_power_w=_HUGE), "sensor 's': numeric fields"),
+        (
+            lambda: ProcessNode("p", ConstantFn(1.0), 1.0, ConstantFn(1.0), reduction_target=_HUGE),
+            r"^process 'p': numeric fields must be finite$",
+        ),
+        (lambda: CommLink("l", "a", "b", 1.0, _HUGE), r"^link 'l': numeric fields must be finite$"),
+        (lambda: CommLink("l", "a", "b", -_HUGE, 1.0), "link 'l': numeric fields"),
+        (lambda: MessageFlow(_HUGE, 1.0, _HUGE, 0), r"^flow numeric fields must be finite$"),
+        (lambda: MessageFlow(1.0, 1.0, 0.0, _HUGE), r"^flow numeric fields must be finite$"),
+    ],
+    ids=[
+        "sensor_size", "sensor_fraction", "sensor_min_pileup", "sensor_power", "process_target",
+        "link_bandwidth", "link_energy", "flow_rate", "flow_n_false",
+    ],
+)
+def test_records_refuse_an_int_beyond_the_float_range(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_int_fields_in_the_float_range_propagate():
+    # int/float comparisons are exact, so ints pass the chained tests as floats do
+    def chain(number):
+        return PipelineGraph(
+            nodes=(
+                SensorNode("sen", number(10**3), number(40 * 10**6)),
+                ProcessNode("proc", ConstantFn(0.0), number(0), LinearFn(slope=1.0)),
+                OutputNode("out"),
+            ),
+            links=(
+                CommLink("a", "sen", "proc", number(0), number(10**10)),
+                CommLink("b", "proc", "out", number(0), number(10**10)),
+            ),
+        )
+
+    assert dict(propagate_flows(chain(int)).flows) == dict(propagate_flows(chain(float)).flows)
+
+
 def test_find_role():
     g = PipelineGraph(
         nodes=(

@@ -67,3 +67,18 @@ def test_the_json_keys_listed_are_the_keys_written(command, lead, tmp_path, caps
     assert main([command, str(config), "--format", "json", "--out", str(out)]) == 0
     capsys.readouterr()
     assert _listed_keys(command, lead) == list(json.loads(out.read_text(encoding="utf-8")))
+
+
+def test_the_sweep_and_report_columns_listed_are_the_keys_written(tmp_path, capsys):
+    sweep_columns = _listed_keys("sweep", "CSV has one line per grid point, with the columns")
+    report_lead = _listed_keys("report", "Its rows have the columns")  # then the sweep ones
+    configs = ROOT / "src" / "daqflow" / "configs"
+    for command, config, listed in [
+        ("sweep", "cms_sweep.cfg", sweep_columns),
+        ("report", "cms_tables.cfg", report_lead + sweep_columns),
+    ]:
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(configs / config), "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+        assert rows and all(list(row) == listed for row in rows), (command, listed)
