@@ -12,133 +12,27 @@ Typical use:
     cfg = load_config("cms_run3.cfg")
     result = evaluate(cfg)
     print(result.score.f1, result.score.total_power_w)
+
+Each public name is listed once, in its own module's `__all__`, and is
+importable from the package as that module's own object.
 """
 
-from .calibration import (
-    EfficiencyCurve,
-    MenuSpec,
-    TriggerPath,
-    build_menu,
-    fit_lambda,
-    sample_scores,
-    trigger_rate,
-)
-from .classifier import (
-    ClassifierModel,
-    ConfusionMatrix,
-    EmpiricalScores,
-    OperatingPoint,
-    ParametricScores,
-    apply_skill,
-    confusion_at_threshold,
-    solve_operating_point,
-    solve_threshold,
-    weighted_cdf,
-)
-from .config import (
-    ModelConfig,
-    ReportSpec,
-    SweepAxes,
-    load_config,
-    parse_config,
-)
-from .energy import (
-    EnergyLedger,
-    ErrorCosts,
-    build_ledger,
-    energy_balance,
-    error_costs,
-    mean_total_energy,
-    total_energy,
-)
-from .errors import (
-    ConfigError,
-    DaqflowError,
-    DegeneratePopulationError,
-    FitInfeasibleError,
-    FlowConsistencyError,
-    GraphValidationError,
-    ModelError,
-    ModelWarning,
-    OperatingPointError,
-)
-from .functions import (
-    ConstantFn,
-    ConstantScaling,
-    LinearFn,
-    PowerLawFn,
-    ProportionalScaling,
-    TableFn,
-    TableScaling,
-)
-from .graph import (
-    CommLink,
-    FlowAssignment,
-    MessageFlow,
-    OutputNode,
-    PipelineGraph,
-    ProcessNode,
-    SensorNode,
-    ValidationReport,
-    propagate_flows,
-    required_channels,
-    validate_graph,
-)
-from .metrics import SystemScore, score_system, system_confusion
-from .scenario import (
-    EvaluationResult,
-    ExperimentConditions,
-    GpuHlt,
-    L1Tracks,
-    ResultRow,
-    SmartPixels,
-    TechnologyEra,
-    VariantConfig,
-    apply_conditions,
-    apply_era,
-    apply_variant,
-    evaluate,
-    sweep,
-)
-from .units import UnitError, parse_quantity, parse_ratio
+from .calibration import *
+from .classifier import *
+from .config import *
+from .energy import *
+from .errors import *
+from .functions import *
+from .graph import *
+from .metrics import *
+from .scenario import *
+from .units import *
 
 __version__ = "0.1.0"
 
+# each `from .module import *` above also binds the submodule itself here
 __all__ = [
-    "__version__",
-    # units
-    "UnitError", "parse_quantity", "parse_ratio",
-    # errors
-    "DaqflowError", "ConfigError", "ModelError", "ModelWarning",
-    "GraphValidationError", "FlowConsistencyError", "OperatingPointError",
-    "DegeneratePopulationError", "FitInfeasibleError",
-    # function forms
-    "ConstantFn", "LinearFn", "PowerLawFn", "TableFn",
-    "ConstantScaling", "ProportionalScaling", "TableScaling",
-    # classifier
-    "ClassifierModel", "ConfusionMatrix", "OperatingPoint",
-    "ParametricScores", "EmpiricalScores",
-    "weighted_cdf", "solve_threshold", "confusion_at_threshold",
-    "solve_operating_point", "apply_skill",
-    # calibration
-    "EfficiencyCurve", "TriggerPath", "MenuSpec",
-    "trigger_rate", "fit_lambda", "sample_scores", "build_menu",
-    # graph
-    "SensorNode", "ProcessNode", "OutputNode", "CommLink", "PipelineGraph",
-    "MessageFlow", "FlowAssignment", "ValidationReport",
-    "validate_graph", "propagate_flows",
-    "required_channels",
-    # energy
-    "EnergyLedger", "ErrorCosts", "build_ledger", "total_energy",
-    "mean_total_energy", "error_costs", "energy_balance",
-    # metrics
-    "SystemScore", "system_confusion", "score_system",
-    # scenario
-    "ExperimentConditions", "TechnologyEra",
-    "GpuHlt", "L1Tracks", "SmartPixels", "VariantConfig",
-    "apply_conditions", "apply_era", "apply_variant",
-    "evaluate", "sweep", "ResultRow", "EvaluationResult",
-    # config
-    "ModelConfig", "SweepAxes", "ReportSpec",
-    "load_config", "parse_config",
+    "__version__", *units.__all__, *errors.__all__, *functions.__all__,
+    *classifier.__all__, *calibration.__all__, *graph.__all__, *energy.__all__,
+    *metrics.__all__, *scenario.__all__, *config.__all__,
 ]

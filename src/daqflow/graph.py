@@ -550,7 +550,10 @@ def propagate_flows(graph: PipelineGraph) -> FlowAssignment:
 
 def required_channels(link: CommLink, flow: MessageFlow) -> int:
     """Channel count needed to carry the flow's bit rate; ModelError if it is not finite."""
-    bits = flow.rate * flow.size
+    try:
+        bits = flow.rate * flow.size
+    except OverflowError:  # an int size beyond the float range
+        bits = math.inf
     channels = bits / link.bandwidth_per_channel
     if not math.isfinite(channels):
         raise ModelError(

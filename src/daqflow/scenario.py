@@ -141,9 +141,6 @@ class SmartPixels:
             raise ValueError("detector_power_w must be >= 0")
 
 
-VARIANT_NAMES = ("gpu_hlt", "l1_tracks", "smart_pixels")
-
-
 @dataclass(frozen=True)
 class VariantConfig:
     gpu_hlt: GpuHlt = field(default_factory=GpuHlt)
@@ -159,14 +156,15 @@ class VariantConfig:
         if unknown:
             raise ConfigError(f"unknown variant names: {', '.join(unknown)}")
         return VariantConfig(
-            gpu_hlt=replace(self.gpu_hlt, enabled="gpu_hlt" in names),
-            l1_tracks=replace(self.l1_tracks, enabled="l1_tracks" in names),
-            smart_pixels=replace(self.smart_pixels, enabled="smart_pixels" in names),
+            **{n: replace(getattr(self, n), enabled=n in names) for n in VARIANT_NAMES}
         )
 
     def label(self) -> str:
         names = self.enabled_names()
         return "+".join(names) if names else "none"
+
+
+VARIANT_NAMES = tuple(f.name for f in fields(VariantConfig))
 
 
 def _require_role(graph: PipelineGraph, role: str, why: str):

@@ -544,6 +544,13 @@ def test_records_refuse_an_int_beyond_the_float_range(build, message):
         build()
 
 
+def test_required_channels_on_an_int_size_beyond_the_float_range():
+    # MessageFlow leaves its size unconverted, so the demand's product overflows
+    flow = MessageFlow(1.0, _HUGE, 1.0, 0.0)
+    with pytest.raises(ModelError, match=r"^link 'l': channel demand is not finite \(inf bit/s"):
+        required_channels(_link("l", "a", "b", bw=10.24e9), flow)
+
+
 def test_int_fields_in_the_float_range_propagate():
     # int/float comparisons are exact, so ints pass the chained tests as floats do
     def chain(number):

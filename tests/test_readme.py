@@ -1,8 +1,9 @@
 """The README's examples against what the code prints.
 
 Each value the README shows is compared at the digits it prints, and its
-`python` blocks run whole; speed figures are tied to BENCH files instead
-and are not checked here.
+`python` blocks run whole. Each speed figure in the performance table is
+compared, at its printed digits, with the BENCH file value that its row
+names.
 """
 
 import json
@@ -82,3 +83,27 @@ def test_the_sweep_and_report_columns_listed_are_the_keys_written(tmp_path, caps
         capsys.readouterr()
         rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
         assert rows and all(list(row) == listed for row in rows), (command, listed)
+
+
+# a performance-table row: | what | figure unit | `BENCH_nn.json:key/path` |
+_FIGURE_ROW = re.compile(r"^\| .+? \| (\d+\.\d+) (ms|s) \| `(BENCH_\d+\.json):([^`]+)` \|$", re.MULTILINE)
+
+
+def test_each_speed_figure_is_the_bench_value_it_names():
+    rows = _FIGURE_ROW.findall(README)
+    assert len(rows) >= 9  # evaluate x3, a report row, two cold starts, three workloads
+    for figure, unit, name, path in rows:
+        assert re.search(rf"_{unit}(?![a-z])", path), (unit, path)  # the key names its unit
+        value = json.loads((ROOT / name).read_text(encoding="utf-8"))
+        for key in path.split("/"):
+            value = value[key]
+        digits = len(figure.partition(".")[2])
+        assert f"{value:.{digits}f}" == figure, (name, path, value, figure)
+
+
+def test_the_opening_milliseconds_claim_cites_the_table():
+    claim = re.search(r"takes milliseconds(.*?)\(table below\)", " ".join(README.split()))
+    assert claim
+    cited = re.findall(r"(\d+\.\d+) ms", claim.group(1))
+    table = {figure for figure, unit, _, _ in _FIGURE_ROW.findall(README) if unit == "ms"}
+    assert cited and set(cited) <= table, (cited, table)
