@@ -11,9 +11,11 @@ The file and every table-shaped section in it (seeds, conditions, era,
 variants, calibration and its menus, trigger paths, function and scaling
 forms, nodes, links, sweep, report) is described once, as a _Table of _Field
 records, and _read_table() walks a table to check a mapping and build its
-object.  Three checks stay outside the tables: `extends`, the schema_version
-value, and one pass over the nodes that resolves each `classifier:` name
-against calibration.menus and applies the stage-mode rule.
+object.  A field's keyword is its key unless it names another, and a key
+left out passes nothing, so the constructor's own default applies.  Three
+checks stay outside the tables: `extends`, the schema_version value, and one
+pass over the nodes that resolves each `classifier:` name against
+calibration.menus and applies the stage-mode rule.
 
 A file may name a single parent via `extends:`; the child's sections are
 deep-merged over the parent's (scalars and lists replace, mappings merge).
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 import yaml
 
-from .calibration import DEFAULT_SAMPLE_COUNT, EfficiencyCurve, MenuSpec, TriggerPath, build_menu
+from .calibration import EfficiencyCurve, MenuSpec, TriggerPath, build_menu
 from .classifier import MIN_EMPIRICAL_SAMPLES
 from .errors import ConfigError
 from .functions import (
@@ -100,7 +102,19 @@ def _tagged_mapping(loader, node, deep=False):
     return mapping
 
 
+def _printable_int(loader, node):
+    # an int that str() cannot print, from a decimal literal that int() refuses
+    # or a long hex one, is a located parse error: no message has to print it
+    try:
+        value = loader.construct_yaml_int(node)
+        repr(value)
+    except ValueError as exc:
+        raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from None
+    return value
+
+
 _TaggedLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _tagged_mapping)
+_TaggedLoader.add_constructor("tag:yaml.org,2002:int", _printable_int)
 
 
 def _load_yaml(text: str, filename: str) -> dict:
@@ -186,20 +200,20 @@ def _check_fields(ctx: _Ctx, mapping: dict, section: str, allowed, required=()) 
 class _Field(NamedTuple):
     """One key of a table-shaped section.
 
-    arg is the keyword the table's constructor takes; None marks a key the
-    section accepts but its object does not hold, which the caller reads
-    itself.  kind is "number", "int", "bool", "str", "text" (a string that
-    may be empty), "ratio", "bits" (a size string or a bare number of bits),
+    kind is "number", "int", "bool", "str", "text" (a string that may be
+    empty), "ratio", "bits" (a size string or a bare number of bits),
     "variants" (names joined by '+', or 'none'; read as a tuple of names),
     "config" (a path to another config, read as the resolved path), a
     units.KINDS name, a nested _Table, _OneOf, _ListOf or _MapOf, or None (the
-    value as written, for the caller to check).  minimum is an inclusive
-    lower bound.
+    value as written, for the caller to check).  arg is the constructor's
+    keyword, the key itself when empty, or None for a key the caller reads
+    itself.  A missing key passes default, or nothing if that is None, so the
+    constructor's own default applies.  minimum is an inclusive lower bound.
     """
 
     key: str
-    arg: str | None
     kind: object
+    arg: str | None = ""
     default: object = None
     required: bool = False
     minimum: float | None = None
@@ -208,16 +222,15 @@ class _Field(NamedTuple):
 class _Table:
     """A section's fields and the constructor that takes them as keywords.
 
-    A table marked lenient reads a value that is not a mapping as an empty
-    one after reporting it, so its missing required keys are reported too.
+    A key the mapping leaves out passes nothing unless its _Field has a
+    default, so the constructor's own default applies.
     """
 
-    def __init__(self, build, fields: tuple[_Field, ...], lenient: bool = False):
+    def __init__(self, build, fields: tuple[_Field, ...]):
         self.build = build
         self.fields = fields
         self.keys = {f.key for f in fields}
         self.required = tuple(f.key for f in fields if f.required)
-        self.lenient = lenient
 
 
 class _OneOf(NamedTuple):
@@ -243,119 +256,112 @@ def _trigger_path(object_name, threshold, width, plateau, empirical_rate, input_
 
 
 _CONDITIONS = _Table(ExperimentConditions, (
-    _Field("pileup", "pileup", "number", required=True),
-    _Field("bunch_rate", "bunch_rate", "rate"),
-    _Field("l1_reduction", "l1_reduction", "ratio"),
-    _Field("hlt_reduction", "hlt_reduction", "ratio"),
-    _Field("relevant_fraction", "relevant_fraction", "number"),
+    _Field("pileup", "number", required=True),
+    _Field("bunch_rate", "rate"),
+    _Field("l1_reduction", "ratio"),
+    _Field("hlt_reduction", "ratio"),
+    _Field("relevant_fraction", "number"),
 ))
 
 _ERA = _Table(TechnologyEra, (
-    _Field("year", "year", "int", required=True),
-    _Field("efficiency_factor", "efficiency_factor", "number", required=True),
-    _Field("baseline_year", "baseline_year", "int", default=2024),
-    _Field("scale_links", "scale_links", "bool", default=False),
+    _Field("year", "int", required=True),
+    _Field("efficiency_factor", "number", required=True),
+    _Field("baseline_year", "int"),
+    _Field("scale_links", "bool"),
 ))
 
-_ENABLED = _Field("enabled", "enabled", "bool", default=False)
+_ENABLED = _Field("enabled", "bool")
 
 _VARIANTS = _Table(VariantConfig, (
-    _Field("gpu_hlt", "gpu_hlt", _Table(GpuHlt, (
+    _Field("gpu_hlt", _Table(GpuHlt, (
         _ENABLED,
-        _Field("throughput_gain", "throughput_gain", "number", default=0.5),
-        _Field("unit_power", "unit_power_w", "power", default=400.0),
-    )), default=GpuHlt()),
-    _Field("l1_tracks", "l1_tracks", _Table(L1Tracks, (
+        _Field("throughput_gain", "number"),
+        _Field("unit_power", "power", arg="unit_power_w"),
+    ))),
+    _Field("l1_tracks", _Table(L1Tracks, (
         _ENABLED,
-        _Field("skill_factor", "skill_factor", "number", default=1.4),
-    )), default=L1Tracks()),
-    _Field("smart_pixels", "smart_pixels", _Table(SmartPixels, (
+        _Field("skill_factor", "number"),
+    ))),
+    _Field("smart_pixels", _Table(SmartPixels, (
         _ENABLED,
-        _Field("data_reduction", "data_reduction", "number", default=0.54),
-        _Field("detector_power", "detector_power_w", "power", default=2300.0),
-    )), default=SmartPixels()),
+        _Field("data_reduction", "number"),
+        _Field("detector_power", "power", arg="detector_power_w"),
+    ))),
 ))
 
 _PATH = _Table(_trigger_path, (
-    _Field("name", "object_name", "str", required=True),
-    _Field("threshold", "threshold", "momentum", required=True),
-    _Field("width", "width", "momentum", required=True),
-    _Field("plateau", "plateau", "number", required=True),
-    _Field("empirical_rate", "empirical_rate", "rate", required=True),
-    _Field("input_rate", "input_rate", "rate", required=True),
+    _Field("name", "str", arg="object_name", required=True),
+    _Field("threshold", "momentum", required=True),
+    _Field("width", "momentum", required=True),
+    _Field("plateau", "number", required=True),
+    _Field("empirical_rate", "rate", required=True),
+    _Field("input_rate", "rate", required=True),
 ))
 
 # the menu's name is its key under calibration.menus, passed in by _MapOf
 _MENU = _Table(MenuSpec, (
-    _Field("mode", "mode", "str", required=True),
+    _Field("mode", "str", required=True),
     # the sampler itself refuses fewer samples; catch that here with a location
-    _Field(
-        "sample_count", "sample_count", "int",
-        default=DEFAULT_SAMPLE_COUNT, minimum=MIN_EMPIRICAL_SAMPLES,
-    ),
-    _Field("paths", "paths", _ListOf(_PATH), required=True),
+    _Field("sample_count", "int", minimum=MIN_EMPIRICAL_SAMPLES),
+    _Field("paths", _ListOf(_PATH), required=True),
 ))
 
-_CALIBRATION = _Table(
-    lambda menus: menus,
-    (_Field("menus", "menus", _MapOf(_MENU), required=True),),
-    lenient=True,
-)
+_CALIBRATION = _Table(lambda menus: menus, (_Field("menus", _MapOf(_MENU), required=True),))
 
 _FUNCTION = _OneOf("form", {
     "constant": _Table(ConstantFn, (
-        _Field("value", "value", "number", required=True, minimum=0.0),
+        _Field("value", "number", required=True, minimum=0.0),
     )),
     "linear": _Table(LinearFn, (
-        _Field("slope", "slope", "number", required=True, minimum=0.0),
-        _Field("intercept", "intercept", "number", default=0.0, minimum=0.0),
+        _Field("slope", "number", required=True, minimum=0.0),
+        _Field("intercept", "number", minimum=0.0),
     )),
     "power_law": _Table(PowerLawFn, (
-        _Field("exponent", "exponent", "number", required=True, minimum=0.0),
-        _Field("value_at_reference", "value_at_reference", "number", required=True, minimum=0.0),
-        _Field("reference", "reference", "size", required=True),
+        _Field("exponent", "number", required=True, minimum=0.0),
+        _Field("value_at_reference", "number", required=True, minimum=0.0),
+        _Field("reference", "size", required=True),
     )),
     "table": _Table(TableFn, (
-        _Field("xs", "xs", _ListOf("bits"), required=True),
-        _Field("ys", "ys", _ListOf("number"), required=True),
+        _Field("xs", _ListOf("bits"), required=True),
+        _Field("ys", _ListOf("number"), required=True),
     )),
 })
 
 _SCALING = _OneOf("form", {
     "constant": _Table(ConstantScaling, ()),
     "proportional": _Table(ProportionalScaling, (
-        _Field("reference", "reference", "number", required=True, minimum=1e-12),
+        _Field("reference", "number", required=True, minimum=1e-12),
     )),
     "table": _Table(TableScaling, (
-        _Field("pileups", "pileups", _ListOf("number"), required=True),
-        _Field("multipliers", "multipliers", _ListOf("number"), required=True),
+        _Field("pileups", _ListOf("number"), required=True),
+        _Field("multipliers", _ListOf("number"), required=True),
     )),
 })
 
-_ID = _Field("id", "id", "str", required=True)
-_ROLE = _Field("role", "role", "str")
-_CONSTANT_POWER = _Field("constant_power", "constant_power_w", "power", default=0.0)
+_ID = _Field("id", "str", required=True)
+_ROLE = _Field("role", "str")
+_CONSTANT_POWER = _Field("constant_power", "power", arg="constant_power_w")
 
 _NODE = _OneOf("kind", {
     "sensor": _Table(SensorNode, (
         _ID,
         _ROLE,
-        _Field("sample_size", "sample_size", "size", required=True),
-        _Field("sample_rate", "sample_rate", "rate", required=True),
-        _Field("relevant_fraction", "relevant_fraction", "number", default=0.0),
-        _Field("pileup_scaling", "pileup_scaling", _SCALING, default=ConstantScaling()),
-        _Field("enabled_min_pileup", "enabled_min_pileup", "number"),
+        _Field("sample_size", "size", required=True),
+        _Field("sample_rate", "rate", required=True),
+        _Field("relevant_fraction", "number"),
+        _Field("pileup_scaling", _SCALING),
+        _Field("enabled_min_pileup", "number"),
         _CONSTANT_POWER,
     )),
     "process": _Table(ProcessNode, (
         _ID,
         _ROLE,
-        _Field("complexity", "complexity", _FUNCTION, required=True),
-        _Field("energy_per_op", "energy_per_op", "energy_per_op", required=True),
-        _Field("output_size", "output_size", _FUNCTION, required=True),
-        _Field("classifier", None, "str"),  # a calibration.menus name, see _classifier_refs
-        _Field("reduction_target", "reduction_target", "ratio"),
-        _Field("unit_power", "unit_power_w", "power"),
+        _Field("complexity", _FUNCTION, required=True),
+        _Field("energy_per_op", "energy_per_op", required=True),
+        _Field("output_size", _FUNCTION, required=True),
+        _Field("classifier", "str", arg=None),  # a calibration.menus name, see _classifier_refs
+        _Field("reduction_target", "ratio"),
+        _Field("unit_power", "power", arg="unit_power_w"),
         _CONSTANT_POWER,
     )),
     "output": _Table(OutputNode, (_ID,)),
@@ -363,15 +369,15 @@ _NODE = _OneOf("kind", {
 
 _LINK = _Table(CommLink, (
     _ID,
-    _Field("source", "source", "str", required=True),
-    _Field("target", "target", "str", required=True),
-    _Field("energy_per_bit", "energy_per_bit", "energy_per_bit", required=True),
-    _Field("bandwidth_per_channel", "bandwidth_per_channel", "bandwidth", required=True),
+    _Field("source", "str", required=True),
+    _Field("target", "str", required=True),
+    _Field("energy_per_bit", "energy_per_bit", required=True),
+    _Field("bandwidth_per_channel", "bandwidth", required=True),
 ))
 
 _SEEDS = _Table(
-    lambda calibration: {} if calibration is None else {"calibration": calibration},
-    (_Field("calibration", "calibration", "int", minimum=0),),
+    lambda calibration=None: {} if calibration is None else {"calibration": calibration},
+    (_Field("calibration", "int", minimum=0),),
 )
 
 
@@ -389,10 +395,10 @@ class SweepAxes:
 
 
 _SWEEP = _Table(SweepAxes, (
-    _Field("pileup", "pileup", _ListOf("number"), default=(None,)),
-    _Field("reduction", "reduction", _ListOf("ratio"), default=(None,)),
-    _Field("skill", "skill", _ListOf("number"), default=(None,)),
-    _Field("variants", "variants", _ListOf("variants"), default=(None,)),
+    _Field("pileup", _ListOf("number")),
+    _Field("reduction", _ListOf("ratio")),
+    _Field("skill", _ListOf("number")),
+    _Field("variants", _ListOf("variants")),
 ))
 
 
@@ -414,14 +420,14 @@ class ReportSpec:
 
 
 _REPORT_ROW = _Table(ReportRow, (
-    _Field("label", "label", "str", required=True),
-    _Field("config", "config_path", "config", required=True),
+    _Field("label", "str", required=True),
+    _Field("config", "config", arg="config_path", required=True),
 ))
 
 _REPORT = _Table(ReportSpec, (
-    _Field("tables", "tables", _ListOf(_Table(ReportTable, (
-        _Field("title", "title", "str", required=True),
-        _Field("rows", "rows", _ListOf(_REPORT_ROW), required=True),
+    _Field("tables", _ListOf(_Table(ReportTable, (
+        _Field("title", "str", required=True),
+        _Field("rows", _ListOf(_REPORT_ROW), required=True),
     ))), required=True),
 ))
 
@@ -512,7 +518,7 @@ def _read_value(ctx: _Ctx, kind, v, loc: str, where: str):
     if isinstance(kind, str):
         try:
             value = _read_scalar(kind, v, ctx.base_dir)
-        except (UnitError, ValueError) as exc:
+        except (UnitError, ValueError, OverflowError) as exc:  # Overflow: an int beyond float
             ctx.error(loc, f"{where}: {exc}")
             return _BAD
         if isinstance(value, float) and not math.isfinite(value):
@@ -590,8 +596,8 @@ def _read_fields(ctx: _Ctx, table: _Table, mapping: dict, where: str, tag=None, 
                 built[f.key] = value
         if value is _BAD:
             ok = False
-        elif f.arg is not None:
-            kwargs[f.arg] = value
+        elif f.arg is not None and value is not None:  # None: the constructor's default
+            kwargs[f.arg or f.key] = value
     return kwargs, ok
 
 
@@ -603,9 +609,7 @@ def _read_table(ctx: _Ctx, table: _Table, mapping, where: str, loc: str, tag=Non
     """
     if not isinstance(mapping, dict):
         ctx.error(loc, f"{where}: expected a mapping, got {type(mapping).__name__}")
-        if not table.lenient:
-            return _BAD
-        mapping = {_LOC: loc}
+        return _BAD
     kwargs, ok = _read_fields(ctx, table, mapping, where, tag)
     if not ok:
         return _BAD
@@ -674,19 +678,20 @@ class ModelConfig:
         return PipelineGraph(nodes=nodes, links=self.links)
 
 
-# The file itself; classifier_refs and source_path come from outside the table.
+# The file itself; classifier_refs and source_path come from outside the table,
+# and the four defaults are for ModelConfig fields that have none.
 _CONFIG = _Table(ModelConfig, (
-    _Field("schema_version", "schema_version", None, required=True),  # see _build_config
-    _Field("description", "description", "text", default=""),
-    _Field("seeds", "seeds", _SEEDS, default={}),
-    _Field("conditions", "conditions", _CONDITIONS, required=True),
-    _Field("era", "era", _ERA, default=TechnologyEra(year=2024, efficiency_factor=1.0)),
-    _Field("variants", "variants", _VARIANTS, default=VariantConfig()),
-    _Field("calibration", "menus", _CALIBRATION, default={}),
-    _Field("nodes", "nodes", _ListOf(_NODE), required=True),
-    _Field("links", "links", _ListOf(_LINK), required=True),
-    _Field("sweep", "sweep", _SWEEP),
-    _Field("report", "report", _REPORT),
+    _Field("schema_version", None, required=True),  # see _build_config
+    _Field("description", "text"),
+    _Field("seeds", _SEEDS, default={}),
+    _Field("conditions", _CONDITIONS, required=True),
+    _Field("era", _ERA, default=TechnologyEra(year=2024, efficiency_factor=1.0)),
+    _Field("variants", _VARIANTS, default=VariantConfig()),
+    _Field("calibration", _CALIBRATION, arg="menus", default={}),
+    _Field("nodes", _ListOf(_NODE), required=True),
+    _Field("links", _ListOf(_LINK), required=True),
+    _Field("sweep", _SWEEP),
+    _Field("report", _REPORT),
 ))
 
 

@@ -69,13 +69,7 @@ _MAX = sys.float_info.max
 
 def _finite(*values: float | None) -> bool:
     """Whether every value that is not None is a finite float, or an int within the float range."""
-    try:
-        for value in values:
-            if value is not None and not math.isfinite(value):
-                return False
-    except OverflowError:  # an int beyond the float range
-        return False
-    return True
+    return all(v is None or -_MAX <= v <= _MAX for v in values)
 
 
 def _slot_init(cls: type) -> type:

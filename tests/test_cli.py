@@ -359,7 +359,7 @@ _MUTATIONS = st.lists(
     st.tuples(
         st.sampled_from(list(_key_paths(_BASE))),
         st.sampled_from(
-            [_DELETE, None, 5, -1, "x", "", [], {}, [1], True, 1.0e300, math.nan, "3 furlongs"]
+            [_DELETE, None, 5, -1, "x", "", [], {}, [1], True, 1.0e300, 10**400, math.nan, "3 furlongs"]
         ),
     ),
     min_size=1,

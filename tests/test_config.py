@@ -1,5 +1,6 @@
 """Config parsing: strictness, locations, extends, every key's value."""
 
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -55,6 +56,32 @@ links:
 """
 
 
+# Each kind of object with its required keys only (and a variant's `enabled`)
+REQUIRED_ONLY = """\
+schema_version: 1
+conditions: {pileup: 1}
+variants: {gpu_hlt: {enabled: true}, l1_tracks: {enabled: true}, smart_pixels: {enabled: true}}
+nodes:
+  - {kind: sensor, id: s, sample_size: "1 kb", sample_rate: "1 kHz"}
+  - kind: process
+    id: p
+    complexity: {form: constant, value: 1}
+    energy_per_op: "1 pJ/op"
+    output_size: {form: linear, slope: 1}
+  - {kind: output, id: out}
+links:
+  - {id: a, source: s, target: p, energy_per_bit: "1 pJ/bit", bandwidth_per_channel: "1 Gb/s"}
+  - {id: b, source: p, target: out, energy_per_bit: "1 pJ/bit", bandwidth_per_channel: "1 Gb/s"}
+calibration:
+  menus:
+    m:
+      mode: summed
+      paths:
+        - {name: x, threshold: "30 GeV", width: "2 GeV", plateau: 0.95, empirical_rate: "10 kHz", input_rate: "40 MHz"}
+sweep: {}
+"""
+
+
 def test_minimal_config_parses_with_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.schema_version == SCHEMA_VERSION
@@ -66,6 +93,33 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.menus == {} and cfg.seeds == {}
     assert cfg.sweep is None and cfg.report is None
     assert cfg.source_path is None
+
+    # a key left out takes its constructor's own default, whatever that is
+    cfg = parse_config(REQUIRED_ONLY)
+    expected = ModelConfig(
+        schema_version=1,
+        conditions=ExperimentConditions(pileup=1.0),
+        era=TechnologyEra(year=2024, efficiency_factor=1.0),
+        variants=VariantConfig(GpuHlt(enabled=True), L1Tracks(enabled=True), SmartPixels(enabled=True)),
+        nodes=(
+            SensorNode(id="s", sample_size=1000.0, sample_rate=1000.0),
+            ProcessNode(
+                id="p",
+                complexity=ConstantFn(value=1.0),
+                energy_per_op=1e-12,
+                output_size=LinearFn(slope=1.0),
+            ),
+            OutputNode(id="out"),
+        ),
+        links=(_link("a", "s", "p", 1, 1), _link("b", "p", "out", 1, 1)),
+        classifier_refs={},
+        menus={"m": MenuSpec(name="m", mode="summed", paths=(_path("x", 30.0, 2.0, 0.95, 10e3, 40e6),))},
+        seeds={},
+        sweep=SweepAxes(),
+    )
+    for f in fields(ModelConfig):
+        assert getattr(cfg, f.name) == getattr(expected, f.name), f.name
+    assert cfg == expected
 
 
 def test_all_problems_reported_with_locations():
@@ -153,6 +207,17 @@ def test_stage_roles_enforce_menu_modes():
             "variants.l1_tracks.skill_factor: must be finite",
         ),
         ('conditions: {bunch_rate: "0 Hz"}', "conditions: bunch_rate must be positive"),
+        # an int beyond the float range, written out or in hex; no message prints it
+        pytest.param(
+            "conditions: {pileup: 1" + "0" * 400 + "}",
+            "conditions.pileup: int too large to convert to float",
+            id="pileup-401-digits",
+        ),
+        pytest.param(
+            "conditions: {l1_reduction: 0x" + "f" * 300 + "}",
+            "conditions.l1_reduction: int too large to convert to float",
+            id="l1_reduction-300-hex-digits",
+        ),
     ],
 )
 def test_non_finite_inputs_are_located_errors(tmp_path, override, problem):
@@ -163,6 +228,27 @@ def test_non_finite_inputs_are_located_errors(tmp_path, override, problem):
     [(loc, msg)] = ei.value.locations
     assert loc == "bad.cfg:2"
     assert msg.startswith(problem)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts ints of any length"
+)
+@pytest.mark.parametrize(
+    "override",
+    [
+        "conditions: {pileup: 1" + "0" * 4400 + "}",
+        # ints that str() cannot print, in a field whose messages would print them
+        "seeds: {calibration: -0x" + "f" * 4000 + "}",
+        "schema_version: 0x" + "f" * 4000,
+    ],
+    ids=["decimal-4401-digits", "negative-seed-4000-hex-digits", "schema_version-4000-hex-digits"],
+)
+def test_an_int_past_the_str_digit_limit_is_a_parse_error(tmp_path, override):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\n{override}\n")
+    with pytest.raises(ConfigError, match=r"^cannot parse bad\.cfg: Exceeds the limit") as ei:
+        load_config(path)
+    assert "line 2," in str(ei.value)
 
 
 @pytest.mark.parametrize(
@@ -193,6 +279,7 @@ class _PureTaggedLoader(yaml.SafeLoader):
 _PureTaggedLoader.add_constructor(
     yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, config._tagged_mapping
 )
+_PureTaggedLoader.add_constructor("tag:yaml.org,2002:int", config._printable_int)
 
 _needs_libyaml = pytest.mark.skipif(
     not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"
@@ -392,7 +479,7 @@ def test_children_leave_the_shared_parent_data_unchanged(tmp_path):
     for body in _nested_overrides():
         child.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\n{body}")
         load_config(child)
-    # a child whose sections fail to read, including the lenient calibration table
+    # a child whose sections fail to read, including a calibration that is not a mapping
     child.write_text(f"extends: {CONFIG_DIR / 'cms_base.cfg'}\ncalibration: 5\nnodes: {{}}\n")
     with pytest.raises(ConfigError):
         load_config(child)
