@@ -45,6 +45,7 @@ always read: its rows resolve against the child's directory and must exist.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -118,7 +119,9 @@ _TaggedLoader.add_constructor("tag:yaml.org,2002:int", _printable_int)
 
 
 def _load_yaml(text: str, filename: str) -> dict:
-    loader = _TaggedLoader(text)  # as yaml.load drives it, with the file name set
+    stream = io.StringIO(text)
+    stream.name = filename  # the file each parse error's mark names
+    loader = _TaggedLoader(stream)  # as yaml.load drives it, with the file name set
     loader.filename = filename
     try:
         data = loader.get_single_data()

@@ -15,14 +15,17 @@ deliver the same message rate, and the merged message concatenates the
 incoming fragments, so sizes add while the rate stays put.
 
 The five records (nodes, links, flows) are frozen slots dataclasses, and a
-fan-in graph builds thousands of them.  A frozen dataclass's `__init__`
-stores each field with `object.__setattr__(self, name, value)`, which finds
-the slot by name in the class on every store.  `_slot_init` swaps in an
-`__init__`, generated from `dataclasses.fields`, that calls each slot
-descriptor's `__set__`, bound once per class: a sensor is built in ~0.6 of
-the time (`BENCH_29.json`).  Only `__init__` is replaced, so the records
-stay frozen and keep the dataclass's signature, repr, equality, hash and
-pickling.
+fan-in graph builds thousands of them.  `_slot_init` swaps in an `__init__`,
+generated from `dataclasses.fields`, that stores each field through its slot
+descriptor's `__set__` (a frozen dataclass's own finds the slot by name on
+every store; a sensor is built in ~0.6 of the time, `BENCH_29.json`), then
+runs the record's chained valid-case test inline and calls `__post_init__`,
+which names the fault, only when it fails.  The records stay frozen and keep
+the dataclass's signature, repr, equality, hash and pickling.
+
+A fan-in op validates in one pass over the nodes, merges by the extremes and
+runs Kahn over the sorted ready ids; reverting each alone, or the inline record
+tests, costs a `fanin_scale` op 0.37, 0.08, 0.12 and 0.19 ms (`BENCH_34.json`).
 """
 
 from __future__ import annotations
@@ -72,16 +75,19 @@ def _finite(*values: float | None) -> bool:
     return all(v is None or -_MAX <= v <= _MAX for v in values)
 
 
-def _slot_init(cls: type) -> type:
+def _slot_init(cls: type | None = None, *, valid: str | None = None):
     """Give a frozen slots dataclass an `__init__` that stores each field
     through its slot descriptor's `__set__`.
 
     Parameters, their order and defaults come from `fields(cls)`, and the
     dataclass's annotations and `__doc__` stay; `__post_init__` runs last if
-    the class has one.  A `default_factory`, `init=False` or `kw_only` field
-    is refused.
+    the class has one, or only when `valid` is false: a test over the parameters
+    that every valid record passes, raising only where `__post_init__` would.
+    A `default_factory`, `init=False` or `kw_only` field is refused.
     """
-    env = {"__name__": cls.__module__}
+    if cls is None:
+        return lambda cls: _slot_init(cls, valid=valid)
+    env = {"__name__": cls.__module__, "_MAX": _MAX}
     params, body = [], []
     for f in fields(cls):
         if f.default_factory is not MISSING or not f.init or f.kw_only:
@@ -96,7 +102,9 @@ def _slot_init(cls: type) -> type:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
         body.append(f"    _set_{f.name}(self, {f.name})")
-    if hasattr(cls, "__post_init__"):
+    if valid is not None:
+        body.append(f"    if not ({valid}):\n        self.__post_init__()")
+    elif hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), env)
     init = env["__init__"]
@@ -106,7 +114,11 @@ def _slot_init(cls: type) -> type:
     return cls
 
 
-@_slot_init
+@_slot_init(
+    valid="0.0 < sample_size <= _MAX and 0.0 < sample_rate <= _MAX"
+    " and 0.0 <= relevant_fraction <= 1.0 and 0.0 <= constant_power_w <= _MAX"
+    " and (enabled_min_pileup is None or -_MAX <= enabled_min_pileup <= _MAX)"
+)
 @dataclass(frozen=True, slots=True)
 class SensorNode:
     id: str
@@ -119,15 +131,6 @@ class SensorNode:
     constant_power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        # one chained test passes every valid sensor; the checks below name the fault
-        if (
-            0.0 < self.sample_size <= _MAX
-            and 0.0 < self.sample_rate <= _MAX
-            and 0.0 <= self.relevant_fraction <= 1.0
-            and 0.0 <= self.constant_power_w <= _MAX
-            and (self.enabled_min_pileup is None or -_MAX <= self.enabled_min_pileup <= _MAX)
-        ):
-            return
         if not _finite(
             self.sample_size,
             self.sample_rate,
@@ -177,7 +180,7 @@ class OutputNode:
 Node = SensorNode | ProcessNode | OutputNode
 
 
-@_slot_init
+@_slot_init(valid="0.0 <= energy_per_bit <= _MAX and 0.0 < bandwidth_per_channel <= _MAX")
 @dataclass(frozen=True, slots=True)
 class CommLink:
     id: str
@@ -187,9 +190,6 @@ class CommLink:
     bandwidth_per_channel: float  # bit/s per channel
 
     def __post_init__(self) -> None:
-        # one chained test passes every valid link; the checks below name the fault
-        if 0.0 <= self.energy_per_bit <= _MAX and 0.0 < self.bandwidth_per_channel <= _MAX:
-            return
         if not _finite(self.energy_per_bit, self.bandwidth_per_channel):
             raise ValueError(f"link {self.id!r}: numeric fields must be finite")
         if self.energy_per_bit < 0:
@@ -198,7 +198,12 @@ class CommLink:
             raise ValueError(f"link {self.id!r}: bandwidth_per_channel must be positive")
 
 
-@_slot_init
+# n_true, n_false <= _MAX / 2 keep an int sum convertible to float, so the test cannot raise
+@_slot_init(
+    valid="0 <= rate <= _MAX and 0 <= size"
+    f" and 0 <= n_true <= {_MAX / 2} and 0 <= n_false <= {_MAX / 2}"
+    " and abs((n_true + n_false) - rate) <= 1e-9 * (rate if rate > 1.0 else 1.0)"
+)
 @dataclass(frozen=True, slots=True)
 class MessageFlow:
     rate: float  # messages/second
@@ -218,32 +223,36 @@ class MessageFlow:
             raise ValueError("flow numeric fields must be finite") from None
 
 
+def _ready_ids(initial: list[str], later: list[str]) -> Iterable[str]:
+    """Merge the sorted ids `initial` with the heap `later`, which grows as they are taken."""
+    for first in initial:
+        while later and later[0] < first:
+            yield heapq.heappop(later)
+        yield first
+    while later:
+        yield heapq.heappop(later)
+
+
 def _kahn_order(graph: PipelineGraph) -> list[str]:
     """Kahn's algorithm, ties broken by node id; short if a cycle or missing node blocks it.
 
-    Only nodes that become ready later go through a heap; each step takes the
-    smaller of its head and that of the sorted, initially ready ids.
+    Only nodes that become ready later go through a heap; the sorted,
+    initially ready ids are merged with it.
     """
     links_in, links_out = graph._in, graph._out
-    indegree = {nid: len(links_in.get(nid, ())) for nid in graph._by_id}
-    initial = sorted(nid for nid, deg in indegree.items() if deg == 0)
+    indegree = dict.fromkeys(graph._by_id, 0)
+    indegree.update({nid: len(ls) for nid, ls in links_in.items() if nid in indegree})
     later: list[str] = []
     order: list[str] = []
-    i, n = 0, len(initial)
-    while True:
-        if later and (i == n or later[0] < initial[i]):
-            nid = heapq.heappop(later)
-        elif i < n:
-            nid = initial[i]
-            i += 1
-        else:
-            return order
+    for nid in _ready_ids(sorted([nid for nid, deg in indegree.items() if deg == 0]), later):
         order.append(nid)
         for link in links_out.get(nid, ()):
-            if link.target in indegree:
-                indegree[link.target] -= 1
-                if indegree[link.target] == 0:
+            deg = indegree.get(link.target)
+            if deg is not None:
+                indegree[link.target] = deg - 1
+                if deg == 1:
                     heapq.heappush(later, link.target)
+    return order
 
 
 @dataclass(frozen=True)
@@ -352,7 +361,25 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
     # a Counter only when the set sizes show a duplicate
     if len({l.id for l in graph.links}) < len(graph.links):
         v.append(f"duplicate link ids: {', '.join(_duplicates(l.id for l in graph.links))}")
-    roles = [n.role for n in graph.nodes if getattr(n, "role", None) is not None]
+
+    # one pass over the nodes (the index holds an id only if it has a link at that end)
+    roles, outputs, processes, structure = [], [], [], []
+    for node in graph.nodes:
+        nid = node.id
+        if isinstance(node, SensorNode):
+            if nid in links_in:
+                structure.append(f"sensor {nid!r} has incoming links")
+        else:
+            if nid not in links_in:
+                structure.append(f"node {nid!r} has no predecessors")
+            if isinstance(node, OutputNode):
+                outputs.append(node)
+                if nid in links_out:
+                    structure.append(f"output {nid!r} has outgoing links")
+                continue
+            processes.append(node)
+        if node.role is not None:
+            roles.append(node.role)
     if len(set(roles)) < len(roles):
         v.extend(f"role {role!r} is assigned to multiple nodes" for role in _duplicates(roles))
 
@@ -369,7 +396,6 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
     if dangling:
         return ValidationReport(tuple(v))
 
-    outputs = [n for n in graph.nodes if isinstance(n, OutputNode)]
     if len(outputs) != 1:
         v.append(f"graph must have exactly one output node, found {len(outputs)}")
 
@@ -377,17 +403,7 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
         v.append("graph contains a cycle")
         return ValidationReport(tuple(v))
 
-    # the index holds an id only if it has a link at that end
-    for node in graph.nodes:
-        incoming = node.id in links_in
-        if isinstance(node, SensorNode):
-            if incoming:
-                v.append(f"sensor {node.id!r} has incoming links")
-        elif not incoming:
-            v.append(f"node {node.id!r} has no predecessors")
-        if isinstance(node, OutputNode) and node.id in links_out:
-            v.append(f"output {node.id!r} has outgoing links")
-
+    v += structure
     if len(outputs) == 1:
         # every node must reach the output
         reaches = {outputs[0].id}
@@ -396,13 +412,10 @@ def validate_graph(graph: PipelineGraph, classifier_ids: set[str] | None = None)
                 if link.target in reaches:
                     reaches.add(nid)
                     break
-        for node in graph.nodes:
-            if node.id not in reaches:
-                v.append(f"node {node.id!r} has no path to the output")
+        if len(reaches) < len(graph.nodes):  # ids are unique here
+            v.extend(f"node {i!r} has no path to the output" for i in by_id if i not in reaches)
 
-    for node in graph.nodes:
-        if not isinstance(node, ProcessNode):
-            continue
+    for node in processes:
         has_classifier = node.classifier is not None or (
             classifier_ids is not None and node.id in classifier_ids
         )
@@ -438,21 +451,24 @@ class FlowAssignment:
 
 def _merge_incoming(node_id: str, incoming: list[MessageFlow]) -> MessageFlow:
     """Synchronized fan-in: equal rates required, fragment sizes add."""
-    rate = max([f.rate for f in incoming])
-    n_true = max([f.n_true for f in incoming])
+    rates = [f.rate for f in incoming]
+    n_trues = [f.n_true for f in incoming]
+    rate, n_true = max(rates), max(n_trues)
     rate_tol = MERGE_RTOL * max(rate, 1e-300)
     n_true_tol = MERGE_RTOL * max(n_true, 1e-300)
-    for f in incoming:
-        if abs(f.rate - rate) > rate_tol:
-            got, want, what = f.rate, rate, "rate"
-        elif abs(f.n_true - n_true) > n_true_tol:
-            got, want, what = f.n_true, n_true, "n_true"
-        else:
-            continue
-        raise FlowConsistencyError(
-            f"node {node_id!r}: predecessor {what}s disagree "
-            f"({got!r} vs {want!r}); synchronized fan-in needs equal rates"
-        )
+    # the extremes decide, as max - x rounds monotonically; the loop names the first misfit
+    if rate - min(rates) > rate_tol or n_true - min(n_trues) > n_true_tol:
+        for f in incoming:
+            if abs(f.rate - rate) > rate_tol:
+                got, want, what = f.rate, rate, "rate"
+            elif abs(f.n_true - n_true) > n_true_tol:
+                got, want, what = f.n_true, n_true, "n_true"
+            else:
+                continue
+            raise FlowConsistencyError(
+                f"node {node_id!r}: predecessor {what}s disagree "
+                f"({got!r} vs {want!r}); synchronized fan-in needs equal rates"
+            )
     size = sum([f.size for f in incoming])
     return MessageFlow(rate=rate, size=size, n_true=n_true, n_false=rate - n_true)
 

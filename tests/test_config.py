@@ -312,6 +312,23 @@ def test_yaml_syntax_errors_name_a_line_under_each_loader(loader, monkeypatch):
         config._load_yaml("nodes: [1, 2\nlinks: 3\n", "bad.cfg")
 
 
+@pytest.mark.parametrize("loader", [pytest.param("libyaml", marks=_needs_libyaml), "pure"])
+@pytest.mark.parametrize("broken", ["case.cfg", "base.cfg"])
+def test_yaml_syntax_error_marks_name_the_file(tmp_path, broken, loader, monkeypatch):
+    # a child that fails to parse, or the parent it extends
+    if loader == "pure":
+        monkeypatch.setattr(config, "_TaggedLoader", _PureTaggedLoader)
+    bad = "conditions: {pileup: [1, 2\n"
+    (tmp_path / "base.cfg").write_text(bad if broken == "base.cfg" else "description: base\n")
+    (tmp_path / "case.cfg").write_text("extends: base.cfg\n" + (bad if broken == "case.cfg" else ""))
+    line = 2 if broken == "case.cfg" else 1
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path / "case.cfg")
+    message = str(info.value)
+    assert f'in "{broken}", line {line}, column 22' in message
+    assert "<unicode string>" not in message
+
+
 def test_ratios_accept_fractions_and_colons():
     text = MINIMAL.replace(
         "conditions: {pileup: 1}",

@@ -4,6 +4,8 @@ import copy
 import inspect
 import math
 import pickle
+import re
+from collections import Counter
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, make_dataclass, replace
 from types import SimpleNamespace
 
@@ -15,14 +17,16 @@ from hypothesis import strategies as st
 import discrete_sim
 from daqflow.classifier import ClassifierModel, ParametricScores
 from daqflow.errors import FlowConsistencyError, GraphValidationError, ModelError
-from daqflow.functions import ConstantFn, ConstantScaling, LinearFn, PowerLawFn
+from daqflow.functions import ConstantFn, ConstantScaling, LinearFn, PowerLawFn, is_nondecreasing_cost
 from daqflow.graph import (
+    MERGE_RTOL,
     CommLink,
     MessageFlow,
     OutputNode,
     PipelineGraph,
     ProcessNode,
     SensorNode,
+    _merge_incoming,
     _slot_init,
     propagate_flows,
     required_channels,
@@ -533,10 +537,12 @@ _HUGE = 10**400  # an int beyond the float range: float(_HUGE) raises OverflowEr
         (lambda: CommLink("l", "a", "b", -_HUGE, 1.0), "link 'l': numeric fields"),
         (lambda: MessageFlow(_HUGE, 1.0, _HUGE, 0), r"^flow numeric fields must be finite$"),
         (lambda: MessageFlow(1.0, 1.0, 0.0, _HUGE), r"^flow numeric fields must be finite$"),
+        # each population is in range and their sum is not
+        (lambda: MessageFlow(1.0, 1.0, 10**308, 10**308), r"^flow numeric fields must be finite$"),
     ],
     ids=[
         "sensor_size", "sensor_fraction", "sensor_min_pileup", "sensor_power", "process_target",
-        "link_bandwidth", "link_energy", "flow_rate", "flow_n_false",
+        "link_bandwidth", "link_energy", "flow_rate", "flow_n_false", "flow_population_sum",
     ],
 )
 def test_records_refuse_an_int_beyond_the_float_range(build, message):
@@ -779,3 +785,315 @@ def test_flow_checks_match_the_reference(rate, size, n_true, n_false):
     _same_verdict(
         MessageFlow, _reference_flow_checks, rate=rate, size=size, n_true=n_true, n_false=n_false,
     )
+
+
+# validate_graph as it read when it made one pass over the nodes per check:
+# the reference whose violations, in order, the one-pass function must match.
+def _reference_validate(graph, classifier_ids=None):
+    v = []
+    by_id, links_in, links_out = graph._by_id, graph._in, graph._out
+    if len(by_id) < len(graph.nodes):
+        dupes = sorted(i for i, c in Counter(n.id for n in graph.nodes).items() if c > 1)
+        return (f"duplicate node ids: {', '.join(dupes)}",)
+    link_dupes = sorted(i for i, c in Counter(l.id for l in graph.links).items() if c > 1)
+    if link_dupes:
+        v.append(f"duplicate link ids: {', '.join(link_dupes)}")
+    roles = Counter(n.role for n in graph.nodes if getattr(n, "role", None) is not None)
+    v.extend(f"role {r!r} is assigned to multiple nodes" for r in sorted(roles) if roles[r] > 1)
+
+    dangling = False
+    for link in graph.links:
+        if link.source not in by_id:
+            v.append(f"link {link.id!r}: source {link.source!r} is not a node")
+            dangling = True
+        if link.target not in by_id:
+            v.append(f"link {link.id!r}: target {link.target!r} is not a node")
+            dangling = True
+        if link.source == link.target:
+            v.append(f"link {link.id!r}: self-loop")
+    if dangling:
+        return tuple(v)
+
+    outputs = [n for n in graph.nodes if isinstance(n, OutputNode)]
+    if len(outputs) != 1:
+        v.append(f"graph must have exactly one output node, found {len(outputs)}")
+    if graph._order is None:
+        v.append("graph contains a cycle")
+        return tuple(v)
+
+    for node in graph.nodes:
+        incoming = node.id in links_in
+        if isinstance(node, SensorNode):
+            if incoming:
+                v.append(f"sensor {node.id!r} has incoming links")
+        elif not incoming:
+            v.append(f"node {node.id!r} has no predecessors")
+        if isinstance(node, OutputNode) and node.id in links_out:
+            v.append(f"output {node.id!r} has outgoing links")
+
+    if len(outputs) == 1:
+        reaches = {outputs[0].id}
+        for nid in reversed(graph._order):
+            if any(l.target in reaches for l in links_out.get(nid, ())):
+                reaches.add(nid)
+        v.extend(f"node {n.id!r} has no path to the output" for n in graph.nodes if n.id not in reaches)
+
+    for node in graph.nodes:
+        if not isinstance(node, ProcessNode):
+            continue
+        has_classifier = node.classifier is not None or (
+            classifier_ids is not None and node.id in classifier_ids
+        )
+        if has_classifier and node.reduction_target is None:
+            v.append(f"process {node.id!r} has a classifier but no reduction_target")
+        if node.reduction_target is not None and not has_classifier:
+            v.append(f"process {node.id!r} has a reduction_target but no classifier")
+        for fn, label in ((node.complexity, "complexity"), (node.output_size, "output_size")):
+            if not is_nondecreasing_cost(fn):
+                v.append(f"process {node.id!r}: {label} must be nonnegative and nondecreasing")
+    return tuple(v)
+
+
+def _mutate(rng, kind, nodes, links):
+    """(nodes, links) with one structural fault of the given kind, its details drawn from rng."""
+    def pick(items):
+        return items[rng.integers(len(items))]
+
+    ids = [n.id for n in nodes] or ["ghost"]
+    nid, tag = pick(ids), f"{kind}{len(links)}"
+    procs = [i for i, n in enumerate(nodes) if isinstance(n, ProcessNode)]
+    sensors = [i for i, n in enumerate(nodes) if isinstance(n, SensorNode)]
+    outputs = [n.id for n in nodes if isinstance(n, OutputNode)]
+    how = rng.integers(5)
+    if kind == "duplicate_node_id":
+        twin = [OutputNode(nid), SensorNode(nid, 1.0, 1e6), *nodes][how % (2 + len(nodes))]
+        return nodes + [twin], links
+    if kind == "duplicate_link_id" and links:
+        return nodes, links + [_link(pick(links).id, pick(ids), pick(ids))]
+    if kind == "duplicate_role" and procs + sensors:
+        role = ("l1t", "hlt")[how % 2]
+        for i in rng.choice(procs + sensors, size=rng.integers(1, 4)):
+            nodes = nodes[:i] + [replace(nodes[i], role=role)] + nodes[i + 1:]
+        return nodes, links
+    if kind == "dangling":
+        ends = [("ghost", nid), (nid, "phantom"), ("ghost", "phantom")][how % 3]
+        return nodes, links + [_link(tag, *ends)]
+    if kind == "self_loop":
+        return nodes, links + [_link(tag, nid, nid)]
+    if kind == "cycle" and procs:
+        # an edge from any node, the output included, back to a process node
+        return nodes, links + [_link(tag, nid, nodes[pick(procs)].id)]
+    if kind == "zero_outputs":
+        if how % 2:  # with the output's links, or leaving them dangling
+            links = [l for l in links if l.source not in outputs and l.target not in outputs]
+        return [n for n in nodes if not isinstance(n, OutputNode)], links
+    if kind == "two_outputs":
+        extra = OutputNode(f"out{len(nodes)}")
+        return nodes + [extra], links + ([_link(tag, nid, extra.id)] if how % 2 else [])
+    if kind == "orphan":
+        if how == 0:
+            return nodes + [ProcessNode(tag, ConstantFn(1.0), 0.0, LinearFn(1.0))], links
+        if how == 1:
+            return nodes + [SensorNode(tag, 1.0, 1e6)], links
+        if how == 2 and links:
+            i = rng.integers(len(links))
+            return nodes, links[:i] + links[i + 1:]
+        if how == 3 and sensors:
+            return nodes, links + [_link(tag, nid, nodes[pick(sensors)].id)]
+        if outputs:
+            return nodes, links + [_link(tag, outputs[0], nid)]
+    if kind == "mismatch" and procs:
+        i = pick(procs)
+        node = nodes[i]
+        node = [
+            replace(node, classifier=None, reduction_target=node.reduction_target or 4.0),
+            replace(node, classifier=node.classifier or _classifier(), reduction_target=None),
+            replace(node, complexity=ConstantFn(-1.0)),
+            replace(node, output_size=LinearFn(slope=-1.0)),
+        ][how % 4]
+        return nodes[:i] + [node] + nodes[i + 1:], links
+    return nodes, links
+
+
+_FAULTS = [
+    "duplicate_node_id", "duplicate_link_id", "duplicate_role", "dangling", "self_loop", "cycle",
+    "zero_outputs", "two_outputs", "orphan", "mismatch",
+]
+
+
+def _faulty_graph(seed, faults):
+    """A random pipeline with the faults applied in turn, shuffled, and a classifier_ids choice."""
+    rng = np.random.default_rng(seed)
+    g = discrete_sim.random_pipeline(rng)
+    nodes, links = list(g.nodes), list(g.links)
+    for kind in faults:
+        nodes, links = _mutate(rng, kind, nodes, links)
+    g = discrete_sim.shuffled(PipelineGraph(tuple(nodes), tuple(links)), rng)
+    ids = [n.id for n in g.nodes]
+    return g, set(rng.choice(ids, size=rng.integers(0, 3))) if ids else set()
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), faults=st.lists(st.sampled_from(_FAULTS), max_size=3))
+def test_validation_matches_the_multi_pass_reference(seed, faults):
+    g, declared = _faulty_graph(seed, faults)
+    for classifier_ids in (None, declared):
+        # the reference reads a fresh graph, so neither call reuses the other's index
+        want = _reference_validate(PipelineGraph(g.nodes, g.links), classifier_ids)
+        assert validate_graph(g, classifier_ids).violations == want
+
+
+def test_the_faulty_graphs_reach_every_violation():
+    messages = set()
+    for seed in range(400):
+        faults = [_FAULTS[seed % len(_FAULTS)], _FAULTS[seed // len(_FAULTS) % len(_FAULTS)]]
+        g, declared = _faulty_graph(seed, faults[: 1 + seed % 2])
+        for classifier_ids in (None, declared):
+            messages.update(validate_graph(g, classifier_ids).violations)
+    for pattern in [
+        r"duplicate node ids: ", r"duplicate link ids: ", r"role '.+' is assigned to multiple",
+        r"link '.+': source '.+' is not a node", r"link '.+': target '.+' is not a node",
+        r"link '.+': self-loop", r"exactly one output node, found 0",
+        r"exactly one output node, found 2", r"graph contains a cycle", r"sensor '.+' has incoming",
+        r"node '.+' has no predecessors", r"output '.+' has outgoing", r"has no path to the output",
+        r"has a classifier but no reduction_target", r"has a reduction_target but no classifier",
+        r"complexity must be nonnegative", r"output_size must be nonnegative",
+    ]:
+        assert any(re.search(pattern, m) for m in messages), pattern
+
+
+# _merge_incoming as it read when it tested every flow against the maxima:
+# the reference for verdict, merged flow and message.
+def _reference_merge(node_id, incoming):
+    rate = max(f.rate for f in incoming)
+    n_true = max(f.n_true for f in incoming)
+    rate_tol = MERGE_RTOL * max(rate, 1e-300)
+    n_true_tol = MERGE_RTOL * max(n_true, 1e-300)
+    for f in incoming:
+        if abs(f.rate - rate) > rate_tol:
+            got, want, what = f.rate, rate, "rate"
+        elif abs(f.n_true - n_true) > n_true_tol:
+            got, want, what = f.n_true, n_true, "n_true"
+        else:
+            continue
+        raise FlowConsistencyError(
+            f"node {node_id!r}: predecessor {what}s disagree "
+            f"({got!r} vs {want!r}); synchronized fan-in needs equal rates"
+        )
+    return MessageFlow(rate, sum(f.size for f in incoming), n_true, rate - n_true)
+
+
+def _outcome(merge, incoming):
+    try:
+        return "ok", repr(merge("m", incoming))  # repr: a nan field compares equal
+    except (FlowConsistencyError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _near_the_tolerance(value, sign, ulps):
+    """A value off `value` by about MERGE_RTOL of the larger of the two, `ulps` steps from that."""
+    off = value * (1 - MERGE_RTOL) if sign < 0 else value / (1 - MERGE_RTOL)
+    for _ in range(abs(ulps)):
+        off = math.nextafter(off, math.copysign(math.inf, ulps))
+    return off
+
+
+def _fan_in(k, rate, fraction, sizes, which, index, sign, ulps):
+    """k equal flows, one of them (`index`) off in `which` ("rate" or "n_true") near the tolerance."""
+    n_true = rate * fraction if fraction else 0.0
+    flows = [MessageFlow(rate, s, n_true, rate - n_true if n_true < math.inf else 0.0) for s in sizes[:k]]
+    f = flows[index % k]
+    if which == "rate":
+        r = _near_the_tolerance(rate, sign, ulps)
+        flows[index % k] = MessageFlow(r, f.size, min(n_true, r), r - min(n_true, r))
+    elif which == "n_true":
+        t = min(_near_the_tolerance(n_true, sign, ulps), rate)
+        flows[index % k] = MessageFlow(rate, f.size, t, rate - t)
+    return flows
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    rate=st.floats(1e-6, 1e15) | st.sampled_from([0.0, 5e-324, 1.0, 40e6, math.inf]),
+    fraction=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-4, 1.0]),
+    sizes=st.lists(st.floats(0.0, 1e6), min_size=40, max_size=40),
+    which=st.sampled_from(["none", "rate", "n_true"]),
+    index=st.integers(0, 39),
+    sign=st.sampled_from([-1, 1]),
+    ulps=st.integers(-3, 3),
+)
+@example(k=3, rate=40e6, fraction=1e-4, sizes=[1.0] * 40, which="rate", index=1, sign=-1, ulps=-1)
+@example(k=3, rate=40e6, fraction=1e-4, sizes=[1.0] * 40, which="rate", index=1, sign=-1, ulps=1)
+@example(k=3, rate=40e6, fraction=1e-4, sizes=[1.0] * 40, which="n_true", index=2, sign=1, ulps=1)
+@example(k=3, rate=40e6, fraction=1e-4, sizes=[1.0] * 40, which="n_true", index=2, sign=1, ulps=-1)
+@example(k=4, rate=math.inf, fraction=1.0, sizes=[1.0] * 40, which="none", index=0, sign=1, ulps=0)
+@example(k=4, rate=math.inf, fraction=0.0, sizes=[1.0] * 40, which="rate", index=3, sign=-1, ulps=-1)
+def test_merge_matches_the_per_flow_reference(k, rate, fraction, sizes, which, index, sign, ulps):
+    try:
+        flows = _fan_in(k, rate, fraction, sizes, which, index, sign, ulps)
+    except ValueError:  # the off value made no valid flow
+        return
+    assert _outcome(_merge_incoming, flows) == _outcome(_reference_merge, flows)
+
+
+def test_merge_accepts_just_under_and_names_the_first_flow_just_over_the_tolerance():
+    # 40 MHz flows with one rate a few ulps either side of MERGE_RTOL below the others
+    outcomes = {}
+    for ulps in range(-3, 4):
+        flows = _fan_in(4, 40e6, 1e-4, [1.0] * 4, "rate", 2, -1, ulps)
+        outcomes[ulps] = _outcome(_merge_incoming, flows)
+        assert outcomes[ulps] == _outcome(_reference_merge, flows)
+    assert {o[0] for o in outcomes.values()} == {"ok", "FlowConsistencyError"}
+    assert any("predecessor rates disagree" in o[1] for o in outcomes.values())
+
+
+_VALID = {
+    SensorNode: dict(
+        id="s", sample_size=1.0, sample_rate=1.0, relevant_fraction=0.5, enabled_min_pileup=1.0,
+        constant_power_w=1.0,
+    ),
+    CommLink: dict(id="l", source="a", target="b", energy_per_bit=1.0, bandwidth_per_channel=1.0),
+    MessageFlow: dict(rate=1.0, size=1.0, n_true=0.5, n_false=0.5),
+}
+_FINITE = {
+    SensorNode: "sensor 's': numeric fields must be finite",
+    CommLink: "link 'l': numeric fields must be finite",
+}
+_NEGATIVE = {
+    "sample_size": "sensor 's': sample_size and sample_rate must be positive",
+    "sample_rate": "sensor 's': sample_size and sample_rate must be positive",
+    "relevant_fraction": "sensor 's': relevant_fraction must lie in [0, 1]",
+    "enabled_min_pileup": "ok",  # a pile-up threshold may be negative
+    "constant_power_w": "sensor 's': constant_power_w must be >= 0",
+    "energy_per_bit": "link 'l': energy_per_bit must be >= 0",
+    "bandwidth_per_channel": "link 'l': bandwidth_per_channel must be positive",
+}
+_FLOW = {  # nan, inf, -inf, -1.0, 10**400
+    "rate": ("flow fields must be >= 0", "ok", "flow fields must be >= 0", "flow fields must be >= 0",
+             "flow numeric fields must be finite"),  # an inf rate's tolerance is inf
+    "size": ("flow fields must be >= 0", "ok", "flow fields must be >= 0", "flow fields must be >= 0",
+             "ok"),  # a size is never added to the populations, so an int beyond the range passes
+    "n_true": ("flow fields must be >= 0", "flow populations do not add up: inf + 0.5 != 1.0",
+               "flow fields must be >= 0", "flow fields must be >= 0", "flow numeric fields must be finite"),
+    "n_false": ("flow fields must be >= 0", "flow populations do not add up: 0.5 + inf != 1.0",
+                "flow fields must be >= 0", "flow fields must be >= 0", "flow numeric fields must be finite"),
+}
+_BAD = (math.nan, math.inf, -math.inf, -1.0, 10**400)
+
+
+def _record_cases():
+    for cls, valid in _VALID.items():
+        numeric = [name for name, value in valid.items() if isinstance(value, float)]
+        for name in numeric:
+            if cls is MessageFlow:
+                expected = _FLOW[name]
+            else:
+                expected = (_FINITE[cls],) * 3 + (_NEGATIVE[name], _FINITE[cls])
+            for bad, message in zip(_BAD, expected):
+                yield pytest.param(cls, name, bad, message, id=f"{cls.__name__}.{name}={bad!r:.8}")
+
+
+@pytest.mark.parametrize("cls, name, bad, message", list(_record_cases()))
+def test_each_numeric_field_out_of_range_gets_its_records_message(cls, name, bad, message):
+    assert _verdict(lambda: cls(**{**_VALID[cls], name: bad})) == message
